@@ -70,6 +70,11 @@ __all__ = [
 PROTOCOL_VERSION = 1
 """Version of the JSON-lines protocol (bumped when messages change meaning)."""
 
+REQUEST_LINE_LIMIT = 2**16
+"""Longest request line the daemon reads, in bytes (asyncio's default).  A
+longer line is discarded through its newline and answered with an ``error``
+line; the connection stays open."""
+
 REPLAY_SINK_SAMPLE = 16
 """Persist every Nth *pure store-replay* request's spans to the trace sink
 (the first always).  Replayed requests are sub-millisecond and identical, so
@@ -1052,10 +1057,42 @@ async def _handle_connection(service: ProofService, stop: asyncio.Event, reader,
             pass
 
 
+async def _read_request_line(reader) -> bytes:
+    """The next line from ``reader`` (empty at end of input).
+
+    A line over :data:`REQUEST_LINE_LIMIT` raises :class:`ValueError`, but
+    only after the rest of it, through its newline, has been read and
+    dropped, so the next request on the connection is read intact.
+    """
+    try:
+        return await reader.readuntil(b"\n")
+    except asyncio.IncompleteReadError as error:
+        return error.partial
+    except asyncio.LimitOverrunError as error:
+        overrun = error
+    while True:
+        # ``consumed`` bytes are buffered ahead of the newline (or are the
+        # whole buffer when it has none yet): drop them and look again.
+        await reader.readexactly(overrun.consumed)
+        try:
+            await reader.readuntil(b"\n")
+            break
+        except asyncio.IncompleteReadError:
+            break
+        except asyncio.LimitOverrunError as error:
+            overrun = error
+    raise ValueError(f"request line longer than {REQUEST_LINE_LIMIT} bytes")
+
+
 async def _serve_connection(service: ProofService, stop: asyncio.Event, loop, reader, writer) -> None:
     try:
         while True:
-            line = await reader.readline()
+            try:
+                line = await _read_request_line(reader)
+            except ValueError as error:
+                writer.write(_encode({"op": "error", "error": f"bad request line: {error}"}))
+                await writer.drain()
+                continue
             if not line:
                 break
             line = line.strip()
@@ -1156,7 +1193,9 @@ async def serve(
         finally:
             connections.discard(task)
 
-    server = await asyncio.start_unix_server(on_connection, path=socket_path)
+    server = await asyncio.start_unix_server(
+        on_connection, path=socket_path, limit=REQUEST_LINE_LIMIT
+    )
     try:
         if ready is not None:
             ready()

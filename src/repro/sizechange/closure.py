@@ -14,12 +14,25 @@ Two interfaces are provided:
   maintained as the proof graph grows, each newly uncovered edge composes with
   what is already known, violations are detected the moment they appear, and a
   trail of additions supports backtracking during proof search.
+
+The incremental update is semi-naive evaluation of a transitive closure.  The
+edge graphs that added something are kept as *generators*, on a stack per
+source vertex, and the closure is exactly the set of compositions along
+generator paths.  A path that is new after adding ``e: s → t`` contains
+``e``; cut at its first ``e`` it reads ``α·e·β``, where ``α`` is an old
+closure graph into ``s`` (or empty) and ``β`` a sequence of generators.  So
+the update starts from ``e`` and every ``X∘e`` and extends each new graph on
+the right by the generators out of its target only — not by every closure
+graph on either side.  Deduplicating by summary is exact, because how a graph
+extends depends only on its summary.  :func:`closure_of` keeps the plain
+two-sided worklist: it is the independent from-scratch oracle that the
+certificate checker and the differential tests compare against.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from .graph import SizeChangeGraph, compose_edges
 
@@ -30,6 +43,9 @@ __all__ = [
     "AdditionResult",
     "IncrementalClosure",
 ]
+
+_Key = Tuple[int, int, frozenset]
+"""A graph's raw ``(source, target, edges)`` fields."""
 
 
 def closure_of(graphs: Iterable[SizeChangeGraph], max_graphs: int = 100_000) -> Set[SizeChangeGraph]:
@@ -91,23 +107,29 @@ class IncrementalClosure:
     """A size-change closure maintained incrementally with undo support.
 
     Proof search adds the size-change graph of every edge as the corresponding
-    node is uncovered; compositions with the existing closure are computed
-    eagerly, so the moment a cycle becomes unsound a violation is reported and
-    the search can abandon the branch.  The :meth:`remove` operation supports
-    chronological backtracking: it must be called with exactly the graphs
-    reported by the corresponding :meth:`add` (most recent first), which is the
-    discipline a depth-first search naturally follows.
+    node is uncovered; the new compositions are computed eagerly, so the
+    moment a cycle becomes unsound a violation is reported and the search can
+    abandon the branch.  The :meth:`remove` operation supports chronological
+    backtracking: it must be called with exactly the graphs reported by the
+    corresponding :meth:`add` (most recent first), which is the discipline a
+    depth-first search naturally follows.
+
+    Invariant: every edge graph that added something is a *generator*, kept
+    on a per-source-vertex stack in the order it was added, and the closure is
+    exactly the set of compositions of generator paths.  An edge graph whose
+    summary is already in the closure is not a generator: it is itself such a
+    composition, and under LIFO undo the generators it is made of outlive it.
     """
 
     def __init__(self) -> None:
-        self._graphs: Set[SizeChangeGraph] = set()
-        # Membership mirror of ``_graphs`` keyed by the raw field tuple, so
-        # the add() hot loop can deduplicate candidate compositions from
-        # their (source, target, edges) parts *before* paying for a graph
-        # object.  Kept in exact sync by add/remove/clear.
-        self._keys: Set[Tuple[int, int, frozenset]] = set()
-        self._by_source: Dict[int, Set[SizeChangeGraph]] = {}
-        self._by_target: Dict[int, Set[SizeChangeGraph]] = {}
+        # The closure, and the closure graphs into each vertex, keyed by the
+        # raw (source, target, edges) tuple, so the add() hot loop can
+        # deduplicate candidate compositions from their parts *before*
+        # paying for a graph object.
+        self._graphs: Dict[_Key, SizeChangeGraph] = {}
+        self._by_target: Dict[int, Dict[_Key, SizeChangeGraph]] = {}
+        # Generator edge graphs by source vertex, most recent last.
+        self._generators: Dict[int, List[SizeChangeGraph]] = {}
         # Composition memo: (left edges, right edges) -> composed edges.
         # Composition is a pure function of the two edge sets, and depth-first
         # search re-derives the same compositions across branches relentlessly
@@ -128,60 +150,83 @@ class IncrementalClosure:
         return len(self._graphs)
 
     def __contains__(self, graph: SizeChangeGraph) -> bool:
-        return graph in self._graphs
+        return (graph.source, graph.target, graph.edges) in self._graphs
 
     def graphs(self) -> Tuple[SizeChangeGraph, ...]:
         """All graphs currently in the closure."""
-        return tuple(self._graphs)
+        return tuple(self._graphs.values())
 
     def self_graphs(self, vertex: int) -> Tuple[SizeChangeGraph, ...]:
         """All closure graphs from ``vertex`` to itself."""
         return tuple(
-            g for g in self._by_source.get(vertex, ()) if g.target == vertex
+            g for g in self._by_target.get(vertex, {}).values() if g.source == vertex
         )
 
     def is_sound(self) -> bool:
         """Does the current closure satisfy Theorem 5.2?"""
-        return find_violation(self._graphs) is None
+        return find_violation(self._graphs.values()) is None
 
     # -- updates --------------------------------------------------------------
 
     def add(self, edge_graph: SizeChangeGraph) -> AdditionResult:
         """Add the size-change graph of a newly uncovered edge.
 
-        All compositions with the existing closure are computed; the returned
-        :class:`AdditionResult` lists every graph that became part of the
-        closure as a consequence (for undo) and reports a violation if the new
-        edge closed an unsound cycle.
+        The returned :class:`AdditionResult` lists every graph that became
+        part of the closure as a consequence, the edge graph first (for
+        undo), and reports a violation if the new edge closed an unsound
+        cycle.  An edge graph already in the closure adds nothing.
+
+        The update is semi-naive.  Every new path contains the new edge
+        ``e: s → t``, so it reads ``α·e·β`` with ``α`` an old closure graph
+        into ``s`` (or empty) and ``β`` a sequence of generators.  The
+        worklist is therefore seeded with ``e`` and each ``X∘e``, and a
+        popped graph is extended on the right only by the generators out of
+        its target — ``e`` among them — never by the whole closure on either
+        side.  Deduplicating by summary is exact because how a graph extends
+        depends only on its summary.
         """
-        added: List[SizeChangeGraph] = []
-        violation: Optional[SizeChangeGraph] = None
-        keys = self._keys
-        by_source = self._by_source
+        source = edge_graph.source
+        target = edge_graph.target
+        edges = edge_graph.edges
+        closure = self._graphs
+        if (source, target, edges) in closure:
+            return AdditionResult(added=(), violation=None)
         by_target = self._by_target
+        generators = self._generators
         memo = self._compose_memo
         if len(memo) > self._MEMO_LIMIT:
             memo.clear()
+        generators.setdefault(source, []).append(edge_graph)
+        # Seeds: X∘e for every closure graph X into s, then e itself, so that
+        # e is popped (and recorded) first.
         compositions = 0
-        worklist: List[SizeChangeGraph] = [edge_graph]
+        worklist: List[SizeChangeGraph] = []
+        index = edge_graph.succ_index()
+        for predecessor in by_target.get(source, {}).values():
+            compositions += 1
+            mkey = (predecessor.edges, edges)
+            composed = memo.get(mkey)
+            if composed is None:
+                composed = memo[mkey] = compose_edges(predecessor.edges, index)
+            candidate_source = predecessor.source
+            if (candidate_source, target, composed) not in closure:
+                worklist.append(SizeChangeGraph(candidate_source, target, composed))
+        worklist.append(edge_graph)
+        added: List[SizeChangeGraph] = []
+        violation: Optional[SizeChangeGraph] = None
         while worklist:
             graph = worklist.pop()
             source = graph.source
             target = graph.target
             edges = graph.edges
             key = (source, target, edges)
-            if key in keys:
+            if key in closure:
                 continue
-            keys.add(key)
-            self._graphs.add(graph)
-            bucket = by_source.get(source)
-            if bucket is None:
-                bucket = by_source[source] = set()
-            bucket.add(graph)
+            closure[key] = graph
             bucket = by_target.get(target)
             if bucket is None:
-                bucket = by_target[target] = set()
-            bucket.add(graph)
+                bucket = by_target[target] = {}
+            bucket[key] = graph
             added.append(graph)
             if violation is None and source == target:
                 # Cheapest test first: most self graphs have a decreasing
@@ -193,51 +238,38 @@ class IncrementalClosure:
                         squared = memo[mkey] = compose_edges(edges, graph.succ_index())
                     if squared == edges:
                         violation = graph
-            # The candidate compositions, each looked up in the memo before
-            # being computed and deduplicated on the raw key before a graph
-            # object is built — both the composition and the construction are
-            # skippable in the common case once the closure saturates.
-            # Nothing mutates the buckets between here and the next pop, so
-            # no defensive copies; the just-inserted graph itself
-            # participates (self-composition when source == target), exactly
-            # as before.
-            for successor in by_source.get(target, ()):
+            # Each candidate is looked up in the memo before being computed
+            # and deduplicated on the raw key before a graph object is built.
+            for generator in generators.get(target, ()):
                 compositions += 1
-                mkey = (edges, successor.edges)
+                mkey = (edges, generator.edges)
                 composed = memo.get(mkey)
                 if composed is None:
-                    composed = memo[mkey] = compose_edges(edges, successor.succ_index())
-                candidate_target = successor.target
-                if (source, candidate_target, composed) not in keys:
+                    composed = memo[mkey] = compose_edges(edges, generator.succ_index())
+                candidate_target = generator.target
+                if (source, candidate_target, composed) not in closure:
                     worklist.append(SizeChangeGraph(source, candidate_target, composed))
-            for predecessor in by_target.get(source, ()):
-                if predecessor is graph:
-                    continue
-                compositions += 1
-                mkey = (predecessor.edges, edges)
-                composed = memo.get(mkey)
-                if composed is None:
-                    composed = memo[mkey] = compose_edges(
-                        predecessor.edges, graph.succ_index()
-                    )
-                candidate_source = predecessor.source
-                if (candidate_source, target, composed) not in keys:
-                    worklist.append(SizeChangeGraph(candidate_source, target, composed))
         self.compositions_performed += compositions
         return AdditionResult(added=tuple(added), violation=violation)
 
     def remove(self, graphs: Iterable[SizeChangeGraph]) -> None:
-        """Undo an earlier :meth:`add` by removing the graphs it introduced."""
+        """Undo an earlier :meth:`add` by removing the graphs it introduced.
+
+        ``graphs`` is that call's ``added``; its first graph is the edge
+        graph, which leaves the top of its vertex's generator stack.
+        """
+        graphs = tuple(graphs)
+        if graphs:
+            stack = self._generators.get(graphs[0].source)
+            if stack and stack[-1] == graphs[0]:
+                stack.pop()
         for graph in graphs:
-            if graph in self._graphs:
-                self._graphs.discard(graph)
-                self._keys.discard((graph.source, graph.target, graph.edges))
-                self._by_source.get(graph.source, set()).discard(graph)
-                self._by_target.get(graph.target, set()).discard(graph)
+            key = (graph.source, graph.target, graph.edges)
+            if self._graphs.pop(key, None) is not None:
+                del self._by_target[graph.target][key]
 
     def clear(self) -> None:
         """Remove every graph."""
         self._graphs.clear()
-        self._keys.clear()
-        self._by_source.clear()
         self._by_target.clear()
+        self._generators.clear()

@@ -6,8 +6,8 @@ ranked as ~90% of end-to-end proof-search time.  This module preserves the
 *original* implementations verbatim, for two jobs:
 
 * the differential property tests (``tests/test_hot_path_parity.py``) check
-  that the optimised closure produces the same graphs, the same violations,
-  and the same composition counts as this reference on random inputs;
+  that the optimised closure produces the same graphs and the same
+  violations as this reference on random inputs, with no more compositions;
 * ``benchmarks/bench_hot_loop.py`` patches the reference closure into the
   prover (via :func:`repro.perf.reference_hot_paths`) to measure an honest
   end-to-end before/after on identical search trees.

@@ -134,8 +134,13 @@ class TestCandidateFalsification:
         monkeypatch.setattr(
             explorer_module, "candidate_equations", lambda program, config: [false_candidate]
         )
+        # The goal is true, so the direct attempt must fail on its node
+        # budget (deterministically), not on the wall clock, for exploration
+        # to run at all.
         explorer = TheoryExplorer(
-            nat_program, ExplorationConfig(total_budget=5.0, lemma_timeout=0.2)
+            nat_program,
+            ExplorationConfig(total_budget=5.0, lemma_timeout=0.2),
+            prover_config=ProverConfig().with_(max_nodes=100, timeout=None),
         )
         unprovable = nat_program.parse_equation("add x y === add y (add x Z)")
         outcome = explorer.prove(unprovable)

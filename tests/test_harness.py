@@ -21,7 +21,10 @@ def small_suite_result():
     problems = [p for p in isaplanner_problems() if p.name in {
         "prop_01", "prop_05", "prop_11", "prop_40", "prop_46", "prop_54",
     }]
-    return run_suite(problems, ProverConfig(timeout=1.5), suite_name="subset")
+    # No effective node budget: prop_54 must run out of wall clock, not race
+    # the default 4000-node budget to it.
+    config = ProverConfig(timeout=1.5, max_nodes=1_000_000)
+    return run_suite(problems, config, suite_name="subset")
 
 
 class TestRunner:

@@ -31,7 +31,7 @@ from repro.core.types import DataTy
 from repro.harness.runner import run_suite
 from repro.perf import reference_hot_paths
 from repro.search.config import ProverConfig
-from repro.sizechange.closure import IncrementalClosure
+from repro.sizechange.closure import IncrementalClosure, closure_of, find_violation
 from repro.sizechange.graph import SizeChangeGraph
 from repro.sizechange.reference import (
     ReferenceIncrementalClosure,
@@ -187,7 +187,9 @@ class TestClosureDifferential:
             assert frozenset(fast_result.added) == frozenset(slow_result.added)
             assert frozenset(fast.graphs()) == frozenset(slow.graphs())
         assert fast.is_sound() == slow.is_sound()
-        assert fast.compositions_performed == slow.compositions_performed
+        # The semi-naive closure extends new graphs by edge generators only,
+        # so it never composes more than the reference does.
+        assert fast.compositions_performed <= slow.compositions_performed
 
     @settings(deadline=None, max_examples=30)
     @given(mixed_graphs, graphs_0_0)
@@ -212,6 +214,100 @@ class TestClosureDifferential:
         assert (fast_again.violation is None) == (slow_again.violation is None)
         assert frozenset(fast_again.added) == frozenset(slow_again.added)
         assert frozenset(fast.graphs()) == frozenset(slow.graphs())
+
+
+# LIFO add/undo interleavings over 1-4 vertices, checked after every step
+# against the from-scratch closure_of.  "derived" re-adds a graph the closure
+# already holds as a new edge: the case where add() introduces nothing.
+_vertex_counts = st.integers(min_value=1, max_value=4)
+_small_edge_lists = st.lists(
+    st.tuples(st.sampled_from(["x", "y"]), st.sampled_from(["x", "y"]), st.booleans()),
+    max_size=3,
+)
+_operations = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("add"), st.integers(0, 3), st.integers(0, 3), _small_edge_lists
+        ),
+        st.tuples(st.just("derived"), st.integers(0, 1000)),
+        st.tuples(st.just("undo")),
+    ),
+    max_size=10,
+)
+
+
+class TestClosureAgainstFromScratch:
+    @staticmethod
+    def _check(closure, live, before, result):
+        after = closure_of(live)
+        assert set(closure.graphs()) == after
+        assert set(result.added) == after - before
+        # add() reports the violations it introduces; is_sound() all of them.
+        assert (result.violation is None) == (find_violation(after - before) is None)
+        if result.violation is not None:
+            assert result.violation in after - before
+        assert closure.is_sound() == (find_violation(after) is None)
+
+    @settings(deadline=None, max_examples=60)
+    @given(_vertex_counts, _operations)
+    def test_lifo_interleavings_match_closure_of(self, vertices, operations):
+        closure = IncrementalClosure()
+        trail = []  # (edge graph, its AdditionResult), most recent last
+        for operation in operations:
+            live = [graph for graph, _ in trail]
+            if operation[0] == "undo":
+                if not trail:
+                    continue
+                _, result = trail.pop()
+                closure.remove(result.added)
+                assert set(closure.graphs()) == closure_of(live[:-1])
+                continue
+            if operation[0] == "derived":
+                known = sorted(closure.graphs(), key=str)
+                if not known:
+                    continue
+                graph = known[operation[1] % len(known)]
+            else:
+                _, source, target, edges = operation
+                graph = _graph(source % vertices, target % vertices, edges)
+            before = closure_of(live)
+            result = closure.add(graph)
+            trail.append((graph, result))
+            self._check(closure, live + [graph], before, result)
+            if graph in before:
+                assert result.added == ()
+            else:
+                assert result.added[0] is graph
+
+    def test_readding_a_derived_summary_then_undoing_it(self):
+        closure = IncrementalClosure()
+        first = _graph(0, 1, [("x", "y", True)])
+        second = _graph(1, 2, [("y", "x", False)])
+        derived = first.compose(second)
+        added_first = closure.add(first).added
+        added_second = closure.add(second).added
+        assert derived in closure
+        again = closure.add(derived)
+        assert again.added == () and again.violation is None
+        closure.remove(again.added)
+        assert set(closure.graphs()) == closure_of([first, second])
+        closure.remove(added_second)
+        assert set(closure.graphs()) == {first}
+        # The derived summary is now a genuine new edge, and a generator.
+        fresh = closure.add(derived)
+        assert fresh.added[0] is derived
+        assert set(closure.graphs()) == closure_of([first, derived])
+        closure.remove(fresh.added)
+        closure.remove(added_first)
+        assert len(closure) == 0
+        # Undo left no stale generator behind: one would extend the new
+        # paths through 0 -> 1 past the live edges.
+        closure.add(first)
+        back = closure.add(_graph(1, 0, [("y", "x", False)]))
+        assert back.violation is None
+        assert set(closure.graphs()) == closure_of(
+            [first, _graph(1, 0, [("y", "x", False)])]
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -484,6 +484,35 @@ def trivial_conjectures(names):
             for name, variable in zip(names, "abcdefghij")]
 
 
+class TestOversizeRequestLine:
+    @pytest.mark.parametrize("chunk", [None, 4096], ids=["one-send", "chunked"])
+    def test_oversize_line_is_an_error_and_the_connection_survives(self, tmp_path, chunk):
+        """An 88 KB request line exceeds the daemon's line limit: it gets an
+        explicit error line, and the next request on the same connection is
+        still answered."""
+        oversize = json.dumps({"op": "submit", "source": "-- " + "x" * 88_000}) + "\n"
+        payload = oversize.encode() + b'{"op": "ping", "id": 7}\n'
+        with socket_daemon(tmp_path) as config:
+            connection = socket_module.socket(socket_module.AF_UNIX, socket_module.SOCK_STREAM)
+            connection.settimeout(30.0)
+            connection.connect(config.socket_path)
+            try:
+                if chunk is None:
+                    connection.sendall(payload)
+                else:
+                    for start in range(0, len(payload), chunk):
+                        connection.sendall(payload[start:start + chunk])
+                        time.sleep(0.001)
+                replies = connection.makefile("r", encoding="utf-8")
+                error = json.loads(replies.readline())
+                pong = json.loads(replies.readline())
+            finally:
+                connection.close()
+        assert error["op"] == "error"
+        assert "longer than" in error["error"]
+        assert pong["op"] == "pong" and pong["id"] == 7
+
+
 class TestConcurrentClients:
     def test_two_socket_clients_interleave_verdict_streams(self, tmp_path):
         """A second client's goal lands mid-stream of the first client's batch:
