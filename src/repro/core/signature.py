@@ -225,6 +225,28 @@ class Signature:
 
         return resolve(go(term), subst)
 
+    def arrow_type(self, term: Term) -> Optional[FunTy]:
+        """The type of ``term`` if it is an arrow; ``None`` otherwise or if ill-typed.
+
+        Inference is skipped when the head symbol's declared type, stripped of
+        the term's arguments, leaves a datatype: inference could then only
+        return that datatype or fail.  It runs only when the residue is an
+        arrow or a type variable (or the head is a variable).
+        """
+        if term._head is not None and term._head in self:
+            residue = self.symbol_type(term._head)
+            for _ in range(term._nargs):
+                if not isinstance(residue, FunTy):
+                    break
+                residue = residue.res
+            if isinstance(residue, DataTy):
+                return None
+        try:
+            inferred = self.infer_type(term)
+        except (SignatureError, TypeCheckError):  # unknown symbol or ill-typed
+            return None
+        return inferred if isinstance(inferred, FunTy) else None
+
     def check_type(self, term: Term, expected: Type) -> Type:
         """Check that ``term`` can be given the type ``expected``."""
         inferred = self.infer_type(term)

@@ -3,9 +3,9 @@
 The engine turns the fast single-attempt core into suite-level throughput:
 
 * :class:`Scheduler` (:mod:`repro.engine.scheduler`) shards goals across a
-  pool of worker processes with per-goal deadlines, hard kills for hung
-  workers, and crash isolation — a worker dying on one goal never loses the
-  batch.
+  private :class:`~repro.engine.scheduler.WorkerPool` (the proof service's
+  engine) with per-goal deadlines, hard kills for hung workers, and crash
+  isolation — a worker dying on one goal never loses the batch.
 * :class:`PortfolioVariant` / :func:`default_portfolio` / :func:`strategy_race`
   (:mod:`repro.engine.portfolio`) race several prover configurations — or
   several *search strategies* under one configuration — per goal and keep the

@@ -1,16 +1,24 @@
-"""Multiprocess job scheduler: shard proof attempts across a worker pool.
+"""Multiprocess job engine: shard proof attempts across a worker pool.
 
 The paper's evaluation is embarrassingly parallel — every goal is attempted
-independently under a wall-clock budget — so the scheduler's job is purely
-throughput and robustness:
+independently under a wall-clock budget — so the engine's job is purely
+throughput and robustness.  There is one engine, :class:`WorkerPool`: the
+proof service keeps one resident, and a batch :class:`Scheduler` run is one
+session on a private pool sized to the batch.
 
-* **Sharding.**  ``jobs`` worker processes each hold one task at a time; the
-  parent dispatches demand-driven (a task leaves the pending deque only when a
+* **Sharding.**  Each worker process holds one task at a time; the parent
+  dispatches demand-driven (a task leaves its session's queue only when a
   worker is idle), so cancellation and deadlines stay entirely in the parent.
+* **Event-driven dispatch.**  One dispatcher thread blocks on
+  :func:`multiprocessing.connection.wait` over a wake pipe, every slot's
+  result pipe and every worker's process sentinel, with a timeout that is the
+  nearest hard deadline.  It never sleep-polls: a result, a crash, a new
+  session or a shutdown request is an event.
 * **Crash isolation.**  A worker dying on one goal (segfault, ``os._exit``,
-  OOM kill) is detected by liveness polling; the goal in flight is recorded as
-  failed with the exit code in the reason, the worker is respawned, and the
-  rest of the batch proceeds.
+  OOM kill) shows up as its sentinel (or a torn read on its result pipe); the
+  goal in flight is recorded as failed with the exit code in the reason, the
+  worker is respawned, and the rest of the batch proceeds.  A worker that dies
+  while idle is respawned before it is handed a goal.
 * **Per-goal deadlines.**  The prover enforces its own monotonic deadline
   in-process (``ProverConfig.timeout``); the parent backs it with a *hard*
   deadline (timeout + grace) after which a hung worker is killed and the goal
@@ -30,11 +38,11 @@ import importlib
 import itertools
 import multiprocessing
 import os
-import queue as queue_module
 import threading
 import time
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
+from multiprocessing.connection import wait as wait_for_events
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from ..obs.trace import event_record, get_tracer, mint_span_id, span_record
@@ -124,7 +132,7 @@ class Task:
         return f"{self.suite}/{self.name}"
 
     def to_wire(self) -> dict:
-        """The primitive payload sent over the task queue."""
+        """The primitive payload sent over a worker's task pipe."""
         return {
             "uid": self.uid,
             "index": self.index,
@@ -288,31 +296,6 @@ def solve_task(problem, task: dict, hook: Optional[Callable] = None) -> dict:
     return wire
 
 
-def _worker_main(slot: int, resolver_spec: Spec, hook_spec: Optional[Spec], task_queue, result_queue) -> None:
-    """The worker process loop: resolve problems once, then solve until sentinel."""
-    problems: Dict[str, object] = {}
-    hook: Optional[Callable] = None
-    init_error = ""
-    try:
-        resolver = load_spec(resolver_spec)
-        problems = {f"{p.suite}/{p.name}": p for p in resolver()}
-        hook = load_spec(hook_spec)
-    except Exception as error:  # noqa: BLE001 - reported per task below
-        init_error = f"worker initialisation failed: {error!r}"
-    while True:
-        task = task_queue.get()
-        if task is None:
-            break
-        if init_error:
-            outcome = {"status": "failed", "reason": init_error}
-        else:
-            try:
-                outcome = solve_task(problems.get(task["key"]), task, hook)
-            except Exception as error:  # noqa: BLE001 - a bad goal must not kill the worker
-                outcome = {"status": "failed", "reason": f"worker error: {error!r}"}
-        result_queue.put((slot, task["uid"], outcome))
-
-
 _POOL_THEORY_CAPACITY = 8
 """How many elaborated theories a pool worker keeps warm (LRU beyond that)."""
 
@@ -320,9 +303,9 @@ _POOL_THEORY_CAPACITY = 8
 class _WorkerTheories:
     """Worker-side LRU of elaborated theories, one :class:`TermBank` each.
 
-    A pool worker outlives any single request, so it cannot bake one resolver
-    in at spawn the way :func:`_worker_main` does.  Instead each task carries
-    its resolver spec and the worker elaborates on first use, caching the
+    A pool worker outlives any single request, so it cannot elaborate one
+    theory at spawn and keep it.  Instead each task names its resolver spec
+    (or falls back to the pool's) and the worker elaborates on first use, caching the
     resulting bank + program + problems under the spec's *base key* (theory
     identity without per-request conjectures).  Keeping each theory in a
     private bank means eviction actually frees its terms, and solving under
@@ -384,12 +367,13 @@ class _WorkerTheories:
         return entry["problems"].get(task["key"])
 
 
-def _pool_worker_main(slot: int, resolver_spec: Spec, hook_spec: Optional[Spec], task_queue, result_queue) -> None:
-    """The shared-pool worker loop: resolve theories on demand, reuse across tasks.
+def _pool_worker_main(slot: int, resolver_spec: Spec, hook_spec: Optional[Spec], task_reader, result_writer) -> None:
+    """The worker loop: resolve theories on demand, reuse them across tasks.
 
-    Same wire protocol as :func:`_worker_main`, but the theory is not fixed at
-    spawn: each task names its resolver (``task["resolver"]``, falling back to
-    ``resolver_spec``), and elaborated theories persist in a
+    Tasks arrive on ``task_reader`` (``None`` ends the loop) and each outcome
+    goes back on ``result_writer`` as ``(slot, uid, outcome)``.  The theory is
+    not fixed at spawn: each task names its resolver (``task["resolver"]``,
+    falling back to ``resolver_spec``), and elaborated theories persist in a
     :class:`_WorkerTheories` cache across tasks — and across *requests*, which
     is where the warm pool's latency win comes from.
     """
@@ -403,21 +387,27 @@ def _pool_worker_main(slot: int, resolver_spec: Spec, hook_spec: Optional[Spec],
     from ..core.interning import use_bank
 
     while True:
-        task = task_queue.get()
+        try:
+            task = task_reader.recv()
+        except EOFError:  # the parent is gone
+            break
         if task is None:
             break
-        if init_error:
-            outcome = {"status": "failed", "reason": init_error}
-        else:
+        outcome = {"status": "failed", "reason": init_error}
+        if not init_error:
+            spec = task.get("resolver") or resolver_spec or DEFAULT_RESOLVER
             try:
-                spec = task.get("resolver") or resolver_spec or DEFAULT_RESOLVER
                 entry = theories.entry_for(spec)
-                problem = theories.problem_for(spec, entry, task)
-                with use_bank(entry["bank"]):
-                    outcome = solve_task(problem, task, hook)
-            except Exception as error:  # noqa: BLE001 - a bad goal must not kill the worker
-                outcome = {"status": "failed", "reason": f"worker error: {error!r}"}
-        result_queue.put((slot, task["uid"], outcome))
+            except Exception as error:  # noqa: BLE001 - a bad resolver fails its tasks
+                outcome["reason"] = f"worker initialisation failed: {error!r}"
+            else:
+                try:
+                    problem = theories.problem_for(spec, entry, task)
+                    with use_bank(entry["bank"]):
+                        outcome = solve_task(problem, task, hook)
+                except Exception as error:  # noqa: BLE001 - a bad goal must not kill the worker
+                    outcome["reason"] = f"worker error: {error!r}"
+        result_writer.send((slot, task["uid"], outcome))
 
 
 # ---------------------------------------------------------------------------
@@ -425,445 +415,114 @@ def _pool_worker_main(slot: int, resolver_spec: Spec, hook_spec: Optional[Spec],
 # ---------------------------------------------------------------------------
 
 
-class _WorkerSlot:
-    """One slot of the pool: a live process, its queues, and bookkeeping.
+_SPAWN_LOCK = threading.Lock()
+"""Serialises worker spawns across every pool of this process."""
 
-    Each slot owns a *private* pair of queues.  Sharing one result queue
-    across the pool would let a crashing worker corrupt it for everyone: a
-    process that dies while its queue feeder thread holds the shared write
-    lock leaves that lock held forever, silently blocking every other
-    worker's results.  With per-slot queues a dying worker can only break its
-    own channel, which is thrown away when the slot respawns.
+
+class _WorkerSlot:
+    """One slot of the pool: a live process, its pipes, and bookkeeping.
+
+    Each slot owns a *private* pair of one-way pipes.  A shared result channel
+    would let a crashing worker corrupt it for everyone — a process dying
+    mid-write leaves half a message in front of every other worker's results.
+    With per-slot pipes a dying worker can only break its own channel, which
+    is thrown away when the slot respawns.  The parent closes the child's pipe
+    ends right after the fork, so a dead worker's result pipe reads as end of
+    file instead of blocking the dispatcher.
     """
 
-    def __init__(
-        self,
-        slot: int,
-        context,
-        resolver_spec: Spec,
-        hook_spec: Optional[Spec],
-        main: Callable = None,
-    ):
+    def __init__(self, slot: int, context, resolver_spec: Spec, hook_spec: Optional[Spec]):
         self.slot = slot
         self.context = context
         self.resolver_spec = resolver_spec
         self.hook_spec = hook_spec
-        self.main = main or _worker_main
         self.current: Optional[dict] = None
         self.started_at = 0.0
-        self.tasks_done = 0
-        self.respawns = 0
         self.process = None
-        self.task_queue = None
-        self.result_queue = None
+        self.task_writer = None
+        self.result_reader = None
         self._start()
 
     def _start(self) -> None:
-        self.task_queue = self.context.Queue()
-        self.result_queue = self.context.Queue()
+        task_reader, self.task_writer = self.context.Pipe(duplex=False)
+        self.result_reader, result_writer = self.context.Pipe(duplex=False)
         self.process = self.context.Process(
-            target=self.main,
-            args=(self.slot, self.resolver_spec, self.hook_spec, self.task_queue, self.result_queue),
+            target=_pool_worker_main,
+            args=(self.slot, self.resolver_spec, self.hook_spec, task_reader, result_writer),
             daemon=True,
             name=f"repro-engine-worker-{self.slot}",
         )
-        self.process.start()
-
-    def poll(self) -> Optional[Tuple[int, int, dict]]:
-        """A pending result of this slot, or ``None`` (never blocks)."""
-        try:
-            return self.result_queue.get_nowait()
-        except queue_module.Empty:
-            return None
-        except (OSError, ValueError):  # pragma: no cover - queue torn down
-            return None
+        # Under fork, a sibling spawned before the child's ends are closed here
+        # would inherit this worker's result writer and keep its pipe open
+        # after it dies; spawning one worker at a time rules that out.
+        with _SPAWN_LOCK:
+            self.process.start()
+            task_reader.close()
+            result_writer.close()
 
     @property
     def idle(self) -> bool:
         return self.current is None
 
+    @property
+    def retired(self) -> bool:
+        """Killed without a replacement (shutdown): nothing left to watch."""
+        return self.process is None
+
+    def receive(self) -> Optional[Tuple[int, int, dict]]:
+        """The result waiting on this slot's pipe, or ``None``.
+
+        A torn read — end of file, or half a message from a worker that died
+        mid-write — also yields ``None``: the caller treats it as the death
+        it is.
+        """
+        try:
+            if self.result_reader.poll():
+                return self.result_reader.recv()
+        except Exception:  # noqa: BLE001 - EOFError, OSError or an unpicklable fragment
+            pass
+        return None
+
     def submit(self, task: dict) -> None:
         assert self.current is None
+        self.task_writer.send(task)
         self.current = task
         self.started_at = time.monotonic()
-        self.task_queue.put(task)
-
-    def finish(self) -> None:
-        self.current = None
-        self.tasks_done += 1
 
     def respawn(self) -> None:
-        """Replace a dead or killed process with a fresh one (fresh queues too)."""
-        if self.process.is_alive():
-            self.process.terminate()
-        self.process.join(timeout=5.0)
-        if self.process.is_alive():  # pragma: no cover - last resort
-            self.process.kill()
-            self.process.join(timeout=5.0)
-        self._discard_queues()
+        """Replace a dead or hung process with a fresh one (fresh pipes too)."""
+        self._terminate(timeout=5.0)
         self.current = None
-        self.respawns += 1
         self._start()
-
-    def _discard_queues(self) -> None:
-        # The old queues may be corrupt (that is why we are respawning); never
-        # block on their feeder threads.
-        for q in (self.task_queue, self.result_queue):
-            try:
-                q.cancel_join_thread()
-                q.close()
-            except Exception:  # pragma: no cover - already broken
-                pass
 
     def kill(self) -> None:
         """Terminate the process *without* a replacement (the shutdown path)."""
-        if self.process.is_alive():
-            self.process.terminate()
-        self.process.join(timeout=2.0)
-        if self.process.is_alive():  # pragma: no cover - last resort
-            self.process.kill()
-            self.process.join(timeout=2.0)
-        self._discard_queues()
+        self._terminate(timeout=2.0)
         self.current = None
+        self.process = None
 
     def stop(self) -> None:
+        """Ask the worker to exit; terminate it if it does not."""
+        if self.process is None:
+            return
         try:
-            self.task_queue.put(None)
-        except Exception:  # pragma: no cover - queue already broken
+            self.task_writer.send(None)
+        except OSError:  # already dead
             pass
         self.process.join(timeout=2.0)
+        self._terminate(timeout=2.0)
+        self.process = None
+
+    def _terminate(self, timeout: float) -> None:
         if self.process.is_alive():
             self.process.terminate()
-            self.process.join(timeout=2.0)
-        self._discard_queues()
-
-
-class Scheduler:
-    """Shard tasks over a pool of worker processes.
-
-    ``jobs``
-        Pool size; defaults to the CPU count.
-    ``resolver``
-        How workers obtain their problems (:data:`Spec` returning an iterable
-        of :class:`~repro.benchmarks_data.registry.BenchmarkProblem`).
-    ``worker_hook``
-        Optional :data:`Spec` invoked on every task inside the worker before
-        solving — the crash-injection seam used by the tests.
-    ``hard_kill_grace``
-        Extra seconds past a task's in-process timeout before the parent
-        terminates a (presumably hung) worker.
-    ``start_method``
-        ``multiprocessing`` start method; defaults to ``fork`` when available
-        (cheap on Linux — workers inherit already-imported modules) and the
-        platform default otherwise.
-    """
-
-    def __init__(
-        self,
-        jobs: Optional[int] = None,
-        resolver: Spec = DEFAULT_RESOLVER,
-        worker_hook: Optional[Spec] = None,
-        hard_kill_grace: float = 5.0,
-        start_method: Optional[str] = None,
-        tracer=None,
-    ):
-        self.jobs = max(1, int(jobs) if jobs else (os.cpu_count() or 1))
-        self.resolver = resolver
-        self.worker_hook = worker_hook
-        self.hard_kill_grace = max(0.5, float(hard_kill_grace))
-        #: Where queue/dispatch spans of traced tasks go; the proof service
-        #: injects its own per-daemon tracer, everyone else gets the ring.
-        self.tracer = tracer if tracer is not None else get_tracer()
-        if start_method is None:
-            methods = multiprocessing.get_all_start_methods()
-            start_method = "fork" if "fork" in methods else methods[0]
-        self.context = multiprocessing.get_context(start_method)
-        #: per-slot utilisation of the last run: {slot: {"tasks", "busy_seconds", "respawns"}}
-        self.worker_stats: Dict[int, Dict[str, float]] = {}
-        #: wall-clock duration of the last run
-        self.wall_seconds = 0.0
-        self._shutdown = False
-        self._shutdown_at = 0.0
-        self._shutdown_grace = 0.0
-
-    # -- graceful shutdown ---------------------------------------------------------
-
-    def request_shutdown(self, grace: Optional[float] = None) -> None:
-        """Ask the run loop to drain: finish what is in flight, start nothing new.
-
-        Safe to call from another thread (the daemon's signal handler) while
-        :meth:`run` executes.  Pending tasks are failed immediately with a
-        "shutting down" reason (which :mod:`repro.engine.suite` treats as
-        unstorable); goals already on a worker get ``grace`` extra seconds
-        (default: ``hard_kill_grace``) to finish normally before the worker is
-        killed — killed, not respawned, so shutdown never spawns a process.
-        The flag is sticky: every later :meth:`run` on this scheduler drains
-        too, which is what a tearing-down daemon wants.
-        """
-        self._shutdown_grace = self.hard_kill_grace if grace is None else max(0.0, float(grace))
-        self._shutdown_at = time.monotonic()
-        self._shutdown = True
-
-    @property
-    def shutting_down(self) -> bool:
-        return self._shutdown
-
-    # -- deadline policy ---------------------------------------------------------
-
-    def _hard_deadline(self, task: dict, started_at: float) -> Optional[float]:
-        timeout = task.get("config", {}).get("timeout")
-        if timeout is None:
-            return None
-        return started_at + float(timeout) + self.hard_kill_grace
-
-    # -- the run loop --------------------------------------------------------------
-
-    def run(
-        self,
-        tasks: Iterable[Union[Task, dict]],
-        on_result: Optional[Callable[[dict, dict, Callable[[Iterable[int]], None]], None]] = None,
-    ) -> Dict[int, dict]:
-        """Execute every task; returns ``{uid: outcome dict}``.
-
-        Outcomes gain a ``"worker"`` key (the slot that solved them, ``-1``
-        for tasks cancelled before dispatch).  ``on_result(task, outcome,
-        cancel)`` is invoked in completion order; calling ``cancel(uids)``
-        marks still-pending tasks as :data:`STATUS_CANCELLED` without
-        dispatching them (in-flight tasks run to completion — their outcome is
-        still reported, the caller decides whether to use it).
-        """
-        started_run = time.monotonic()
-        wire: List[dict] = [t.to_wire() if isinstance(t, Task) else dict(t) for t in tasks]
-        results: Dict[int, dict] = {}
-        cancelled: set = set()
-        # Queue-wait attribution: every task is enqueued right here, so one
-        # anchor pair serves the whole batch; dispatch moments are recorded
-        # per uid as (monotonic, wall) when a worker accepts the task.
-        enqueued_mono = time.monotonic()
-        enqueued_wall = time.time()
-        dispatched_at: Dict[int, Tuple[float, float]] = {}
-
-        def cancel(uids: Iterable[int]) -> None:
-            cancelled.update(uids)
-
-        def finish(task: dict, outcome: dict, worker: int) -> None:
-            outcome = dict(outcome)
-            outcome["worker"] = worker
-            spans = outcome.pop("spans", None)
-            dispatch = dispatched_at.get(task["uid"])
-            outcome.setdefault(
-                "queued_seconds",
-                round((dispatch[0] if dispatch else time.monotonic()) - enqueued_mono, 6),
-            )
-            trace_id = str(task.get("trace") or "")
-            if trace_id:
-                now_wall = time.time()
-                queue_span = mint_span_id()
-                self.tracer.emit(
-                    span_record(
-                        "queue",
-                        trace_id,
-                        span=queue_span,
-                        parent=str(task.get("span") or ""),
-                        start=enqueued_wall,
-                        end=dispatch[1] if dispatch else now_wall,
-                        attrs={"goal": task["key"], "dispatched": dispatch is not None},
-                    )
-                )
-                if dispatch is not None:
-                    self.tracer.emit(
-                        span_record(
-                            "pool-dispatch",
-                            trace_id,
-                            span=str(task.get("dispatch_span") or ""),
-                            parent=queue_span,
-                            start=dispatch[1],
-                            end=now_wall,
-                            attrs={
-                                "goal": task["key"],
-                                "worker": worker,
-                                "status": str(outcome.get("status") or ""),
-                            },
-                        )
-                    )
-                if spans:
-                    self.tracer.emit_all(spans)
-            results[task["uid"]] = outcome
-            if on_result is not None:
-                on_result(task, outcome, cancel)
-
-        if not wire:
-            self.worker_stats = {}
-            self.wall_seconds = time.monotonic() - started_run
-            return results
-
-        pending = deque(wire)
-        pool = [
-            _WorkerSlot(slot, self.context, self.resolver, self.worker_hook)
-            for slot in range(min(self.jobs, len(wire)))
-        ]
-        busy_seconds = {worker.slot: 0.0 for worker in pool}
-        try:
-            while pending or any(not worker.idle for worker in pool):
-                # 0. Shutdown drain: everything not yet dispatched fails fast.
-                if self._shutdown:
-                    while pending:
-                        task = pending.popleft()
-                        finish(
-                            task,
-                            {
-                                "status": "failed",
-                                "reason": "service shutting down: task abandoned before dispatch",
-                            },
-                            worker=-1,
-                        )
-
-                # 1. Keep every idle worker fed (skipping cancelled tasks).
-                for worker in pool:
-                    if not worker.idle:
-                        continue
-                    while pending:
-                        task = pending.popleft()
-                        if task["uid"] in cancelled:
-                            finish(
-                                task,
-                                {
-                                    "status": STATUS_CANCELLED,
-                                    "reason": "a portfolio sibling already proved the goal",
-                                },
-                                worker=-1,
-                            )
-                            continue
-                        if task.get("trace") and not task.get("dispatch_span"):
-                            # Minted before pickling so the worker-solve span
-                            # can parent onto it without a round-trip.
-                            task["dispatch_span"] = mint_span_id()
-                        worker.submit(task)
-                        dispatched_at[task["uid"]] = (time.monotonic(), time.time())
-                        break
-
-                # 2. Collect finished results from every slot's own queue.
-                got_any = False
-                for worker in pool:
-                    message = worker.poll()
-                    if message is None:
-                        continue
-                    slot, uid, outcome = message
-                    got_any = True
-                    if uid in results:
-                        continue  # late echo of a task we already settled
-                    if worker.current is not None and worker.current["uid"] == uid:
-                        busy_seconds[worker.slot] += time.monotonic() - worker.started_at
-                        finish(worker.current, outcome, worker=worker.slot)
-                        worker.finish()
-                if got_any:
-                    continue  # drain eagerly before liveness checks
-
-                # 3. Crash isolation: a dead worker loses its own goal only.
-                now = time.monotonic()
-                checked_any = False
-                for worker in pool:
-                    if worker.idle:
-                        continue
-                    task = worker.current
-                    if not worker.process.is_alive():
-                        # One last drain: the result may have been flushed
-                        # just before the process died.
-                        message = worker.poll()
-                        if message is not None and message[1] == task["uid"]:
-                            busy_seconds[worker.slot] += now - worker.started_at
-                            finish(task, message[2], worker=worker.slot)
-                            worker.finish()
-                            if self._shutdown:
-                                worker.kill()
-                            else:
-                                worker.respawn()
-                            checked_any = True
-                            continue
-                        exit_code = worker.process.exitcode
-                        busy_seconds[worker.slot] += now - worker.started_at
-                        if task.get("trace"):
-                            self.tracer.emit(
-                                event_record(
-                                    "worker-crash",
-                                    str(task["trace"]),
-                                    parent=str(task.get("dispatch_span") or ""),
-                                    attrs={
-                                        "goal": task["key"],
-                                        "slot": worker.slot,
-                                        "exit_code": exit_code,
-                                    },
-                                )
-                            )
-                        finish(
-                            task,
-                            {
-                                "status": "failed",
-                                "reason": f"worker crashed (exit code {exit_code}) while solving",
-                            },
-                            worker=worker.slot,
-                        )
-                        if self._shutdown:
-                            worker.kill()
-                        else:
-                            worker.respawn()
-                        checked_any = True
-                        continue
-                    # 3b. Shutdown grace: in-flight goals may finish normally
-                    # until the grace expires; stragglers are killed without a
-                    # replacement (shutdown must never spawn a process).
-                    if self._shutdown and now > self._shutdown_at + self._shutdown_grace:
-                        busy_seconds[worker.slot] += now - worker.started_at
-                        finish(
-                            task,
-                            {
-                                "status": "failed",
-                                "reason": (
-                                    "service shutting down: worker killed "
-                                    f"{now - worker.started_at:.1f}s into the goal"
-                                ),
-                            },
-                            worker=worker.slot,
-                        )
-                        worker.kill()
-                        checked_any = True
-                        continue
-                    # 4. Hard deadline: kill a hung worker past timeout+grace.
-                    deadline = self._hard_deadline(task, worker.started_at)
-                    if deadline is not None and now > deadline:
-                        busy_seconds[worker.slot] += now - worker.started_at
-                        finish(
-                            task,
-                            {
-                                "status": "timeout",
-                                "reason": (
-                                    f"hard deadline: worker killed "
-                                    f"{now - worker.started_at:.1f}s into a "
-                                    f"{task['config'].get('timeout')}s budget"
-                                ),
-                            },
-                            worker=worker.slot,
-                        )
-                        if self._shutdown:
-                            worker.kill()
-                        else:
-                            worker.respawn()
-                        checked_any = True
-                if not checked_any:
-                    time.sleep(0.01)  # idle poll: nothing finished, nobody died
-        finally:
-            for worker in pool:
-                worker.stop()
-            self.worker_stats = {
-                worker.slot: {
-                    "tasks": worker.tasks_done,
-                    "busy_seconds": round(busy_seconds[worker.slot], 6),
-                    "respawns": worker.respawns,
-                }
-                for worker in pool
-            }
-            self.wall_seconds = time.monotonic() - started_run
-        return results
+        self.process.join(timeout=timeout)
+        if self.process.is_alive():  # pragma: no cover - last resort
+            self.process.kill()
+            self.process.join(timeout=timeout)
+        # The old pipes may hold a torn message (often why we are here): drop them.
+        self.task_writer.close()
+        self.result_reader.close()
 
 
 # ---------------------------------------------------------------------------
@@ -1055,23 +714,25 @@ class PoolSession:
 
 
 class WorkerPool:
-    """A persistent pool of solver processes, shared fairly across sessions.
+    """A pool of solver processes, shared fairly across sessions.
 
-    Where :class:`Scheduler` builds and tears down its workers around one
-    batch, the pool keeps them resident: requests join as
-    :class:`PoolSession`\\ s, their goal tasks interleave deficit-round-robin
-    across sessions (quantum: one goal per visit, so a 100-goal batch cannot
-    starve a 1-goal request), and a single dispatcher thread owns all slot
-    state — feeding idle workers, polling results, respawning crashes and
-    enforcing hard deadlines — so :class:`Scheduler`'s crash-isolation and
-    deadline policy carries over intact.  Workers cache elaborated theories
-    across tasks (:func:`_pool_worker_main`), which is the latency win: a
-    known theory is served with zero spawns and zero re-elaboration.
+    Requests join as :class:`PoolSession`\\ s, their goal tasks interleave
+    deficit-round-robin across sessions (quantum: one goal per visit, so a
+    100-goal batch cannot starve a 1-goal request), and a single dispatcher
+    thread owns all slot state — feeding idle workers, collecting results,
+    respawning crashes and enforcing hard deadlines.  The dispatcher is
+    event-driven (see :meth:`_dispatch_once`): it sleeps in one ``wait`` call
+    until something happens.  Workers cache elaborated theories across tasks
+    (:func:`_pool_worker_main`), which is the latency win of a resident pool:
+    a known theory is served with zero spawns and zero re-elaboration.
+    ``resolver`` is the theory of sessions that name none (a batch
+    :class:`Scheduler`'s private pool); it travels to the workers at spawn.
 
     Concurrency contract: ``_lock`` guards session registration, per-session
-    queues/counters and the fairness ring; worker slots are touched by the
-    dispatcher thread only; ``on_result`` callbacks run on the dispatcher
-    thread *outside* the lock (they may call ``cancel``, which re-acquires it).
+    queues/counters, the fairness ring and the slot list; slot state is touched
+    by the dispatcher thread only; ``on_result`` callbacks run on the
+    dispatcher thread *outside* the lock (they may call ``cancel``, which
+    re-acquires it).
     """
 
     def __init__(
@@ -1081,9 +742,11 @@ class WorkerPool:
         hard_kill_grace: float = 5.0,
         start_method: Optional[str] = None,
         tracer=None,
+        resolver: Optional[Spec] = None,
     ):
         self.jobs = max(1, int(jobs) if jobs else (os.cpu_count() or 1))
         self.worker_hook = worker_hook
+        self.resolver = resolver
         self.hard_kill_grace = max(0.5, float(hard_kill_grace))
         #: Where queue/dispatch spans and crash events of traced tasks go; the
         #: proof service injects its per-daemon tracer.
@@ -1093,6 +756,13 @@ class WorkerPool:
             start_method = "fork" if "fork" in methods else methods[0]
         self.context = multiprocessing.get_context(start_method)
         self._lock = threading.RLock()
+        #: Notified when the last session unregisters (:meth:`wait_idle`).
+        self._idle = threading.Condition(self._lock)
+        # The self-pipe: one byte written here wakes the dispatcher's wait.
+        self._wake_r, self._wake_w = os.pipe()
+        os.set_blocking(self._wake_r, False)
+        os.set_blocking(self._wake_w, False)
+        self._wake_lock = threading.Lock()
         self._slots: List[_WorkerSlot] = []
         self._thread: Optional[threading.Thread] = None
         self._session_ids = itertools.count(1)
@@ -1113,8 +783,8 @@ class WorkerPool:
 
     # -- session API -----------------------------------------------------------
 
-    def session(self, resolver: Spec, client: str = "default") -> PoolSession:
-        """A fresh session bound to ``resolver`` on behalf of ``client``."""
+    def session(self, resolver: Optional[Spec], client: str = "default") -> PoolSession:
+        """A fresh session bound to ``resolver`` (``None``: the pool's own)."""
         return PoolSession(self, resolver, client=client)
 
     def ensure_started(self) -> int:
@@ -1125,13 +795,7 @@ class WorkerPool:
             started = 0
             while len(self._slots) < self.jobs and not self._shutdown:
                 self._slots.append(
-                    _WorkerSlot(
-                        len(self._slots),
-                        self.context,
-                        None,
-                        self.worker_hook,
-                        main=_pool_worker_main,
-                    )
+                    _WorkerSlot(len(self._slots), self.context, self.resolver, self.worker_hook)
                 )
                 self._spawns += 1
                 started += 1
@@ -1152,12 +816,27 @@ class WorkerPool:
             self._max_sessions = max(self._max_sessions, len(self._sessions))
             for task in wire:
                 session._pending.append(_PoolTask(next(self._uids), session, task))
-        session._done.wait()
-        with self._lock:
-            self._sessions.pop(session.sid, None)
+        self._wake()
+        try:
+            session._done.wait()
+        finally:
+            with self._lock:
+                self._sessions.pop(session.sid, None)
+                try:
+                    self._ring.remove(session.sid)
+                except ValueError:  # pragma: no cover - already gone
+                    pass
+                if not self._sessions:
+                    self._idle.notify_all()
+
+    def _wake(self) -> None:
+        """Interrupt the dispatcher's wait (any thread; a no-op once closed)."""
+        with self._wake_lock:
+            if self._wake_w is None:
+                return
             try:
-                self._ring.remove(session.sid)
-            except ValueError:  # pragma: no cover - already gone
+                os.write(self._wake_w, b"\0")
+            except BlockingIOError:  # the pipe is full of wakes already
                 pass
 
     # -- graceful shutdown -----------------------------------------------------
@@ -1165,14 +844,17 @@ class WorkerPool:
     def request_shutdown(self, grace: Optional[float] = None) -> None:
         """Drain: finish what is in flight (within ``grace``), start nothing new.
 
-        Same sticky semantics as :meth:`Scheduler.request_shutdown`: pending
-        tasks of every session fail fast with a "shutting down" reason, goals
-        already on a worker get ``grace`` seconds before the worker is killed
-        (killed, not respawned), and later sessions drain immediately too.
+        Sticky: pending tasks of every session fail fast with a "shutting
+        down" reason (which :mod:`repro.engine.suite` treats as unstorable),
+        goals already on a worker get ``grace`` seconds (default:
+        ``hard_kill_grace``) before the worker is killed — killed, not
+        respawned, so shutdown never spawns a process — and later sessions
+        drain immediately too.  Safe to call from any thread.
         """
         self._shutdown_grace = self.hard_kill_grace if grace is None else max(0.0, float(grace))
         self._shutdown_at = time.monotonic()
         self._shutdown = True
+        self._wake()
 
     @property
     def shutting_down(self) -> bool:
@@ -1180,14 +862,8 @@ class WorkerPool:
 
     def wait_idle(self, timeout: float) -> bool:
         """Block until no session is registered; ``False`` on timeout."""
-        deadline = time.monotonic() + max(0.0, timeout)
-        while True:
-            with self._lock:
-                if not self._sessions:
-                    return True
-            if time.monotonic() >= deadline:
-                return False
-            time.sleep(0.01)
+        with self._idle:
+            return self._idle.wait_for(lambda: not self._sessions, timeout=max(0.0, timeout))
 
     def close(self, timeout: float = 10.0) -> None:
         """Terminate the dispatcher and every worker (idempotent).
@@ -1201,26 +877,19 @@ class WorkerPool:
         self.wait_idle(timeout)
         with self._lock:
             self._closing = True
+        self._wake()
         if self._thread is not None:
             self._thread.join(timeout=timeout)
             self._thread = None
         for slot in self._slots:
             slot.stop()
         self._slots = []
-        failure = {"status": "failed", "reason": "worker pool closed"}
-        leftovers: List[Tuple[_PoolTask, dict, int]] = []
-        with self._lock:
-            for ptask, slot in self._inflight.values():
-                leftovers.append((ptask, failure, slot.slot))
-            self._inflight.clear()
-            sessions = list(self._sessions.values())
-            for session in sessions:
-                while session._pending:
-                    leftovers.append((session._pending.popleft(), failure, -1))
-        for ptask, outcome, worker in leftovers:
-            ptask.session._finish(ptask, outcome, worker)
-        for session in sessions:
-            session._done.set()
+        self._fail_outstanding("worker pool closed")
+        with self._wake_lock:
+            if self._wake_w is not None:
+                os.close(self._wake_r)
+                os.close(self._wake_w)
+                self._wake_r = self._wake_w = None
 
     # -- observability ----------------------------------------------------------
 
@@ -1309,18 +978,134 @@ class WorkerPool:
                 session.worker_spawns += 1
                 session._respawns[slot.slot] = session._respawns.get(slot.slot, 0) + 1
 
-    def _dispatch_once(self) -> bool:
+    def _hard_deadline(self, slot: _WorkerSlot) -> Optional[float]:
+        timeout = slot.current.get("config", {}).get("timeout")
+        if timeout is None:
+            return None
+        return slot.started_at + float(timeout) + self.hard_kill_grace
+
+    def _wait_timeout(self, slots: List[_WorkerSlot]) -> Optional[float]:
+        """Seconds to the nearest hard deadline or grace expiry (``None``: none)."""
+        deadlines = []
+        for slot in slots:
+            if slot.idle:
+                continue
+            if self._shutdown:
+                deadlines.append(self._shutdown_at + self._shutdown_grace)
+            deadline = self._hard_deadline(slot)
+            if deadline is not None:
+                deadlines.append(deadline)
+        if not deadlines:
+            return None
+        return max(0.0, min(deadlines) - time.monotonic())
+
+    def _dispatch_once(self) -> None:
+        """One turn of the dispatcher: block until an event, then act on it.
+
+        The events are a byte on the wake pipe (a new session, a shutdown
+        request, :meth:`close`), a result on a slot's pipe, and a worker's
+        process sentinel — idle workers included, so one that dies between
+        goals is respawned before it is handed the next.  The wait times out
+        at the nearest hard deadline or shutdown-grace expiry.  Results and
+        deaths are delivered before idle slots are fed, so a ``cancel`` from
+        an ``on_result`` callback withholds a sibling before it dispatches.
+        """
+        with self._lock:
+            slots = [slot for slot in self._slots if not slot.retired]
+        waitables: list = [self._wake_r]
+        for slot in slots:
+            waitables += (slot.result_reader, slot.process.sentinel)
+        ready = set(wait_for_events(waitables, self._wait_timeout(slots)))
+        if self._wake_r in ready:
+            try:
+                while os.read(self._wake_r, 4096):
+                    pass
+            except BlockingIOError:
+                pass
+        finishes: List[Tuple[_PoolTask, dict, int]] = []
+        now = time.monotonic()
+        for slot in slots:
+            died = slot.process.sentinel in ready
+            if died or slot.result_reader in ready:
+                self._settle(slot, died, finishes)
+            elif not slot.idle:
+                self._enforce_deadlines(slot, now, finishes)
+        self._deliver(finishes)
+        self._deliver(self._feed())
+
+    def _settle(self, slot: _WorkerSlot, died: bool, finishes: List) -> None:
+        """Act on a slot's pipe or sentinel event: a result, a crash, or both."""
+        entry = self._inflight.get(slot.current["uid"]) if slot.current else None
+        owner = entry[0] if entry else None
+        message = slot.receive()
+        if message is not None:
+            settled = self._inflight.pop(message[1], None)
+            if settled is not None:  # else a late echo of a task settled by a kill
+                self._account(settled[0], slot)
+                finishes.append((settled[0], message[2], slot.slot))
+                slot.current = None
+            if not died:
+                return
+        # The worker is exiting (its sentinel or its pipe's end of file says
+        # so): reap it, so its exit code is known.
+        slot.process.join(timeout=1.0)
+        if owner is not None and not slot.idle:
+            exit_code = slot.process.exitcode
+            self._inflight.pop(owner.uid, None)
+            self._account(owner, slot)
+            if owner.wire.get("trace"):
+                self.tracer.emit(
+                    event_record(
+                        "worker-crash",
+                        str(owner.wire["trace"]),
+                        parent=str(owner.worker_wire.get("dispatch_span") or ""),
+                        attrs={"goal": owner.wire["key"], "slot": slot.slot, "exit_code": exit_code},
+                    )
+                )
+            finishes.append(
+                (
+                    owner,
+                    {
+                        "status": "failed",
+                        "reason": f"worker crashed (exit code {exit_code}) while solving",
+                    },
+                    slot.slot,
+                )
+            )
+        self._replace(slot, owner)
+
+    def _enforce_deadlines(self, slot: _WorkerSlot, now: float, finishes: List) -> None:
+        """Kill a busy worker past the shutdown grace or its hard deadline."""
+        task = slot.current
+        if self._shutdown and now >= self._shutdown_at + self._shutdown_grace:
+            status = "failed"
+            reason = f"service shutting down: worker killed {now - slot.started_at:.1f}s into the goal"
+        else:
+            deadline = self._hard_deadline(slot)
+            if deadline is None or now < deadline:
+                return
+            status = "timeout"
+            reason = (
+                f"hard deadline: worker killed {now - slot.started_at:.1f}s into a "
+                f"{task['config'].get('timeout')}s budget"
+            )
+        entry = self._inflight.pop(task["uid"], None)
+        ptask = entry[0] if entry else None
+        if ptask is not None:
+            self._account(ptask, slot)
+            finishes.append((ptask, {"status": status, "reason": reason}, slot.slot))
+        self._replace(slot, ptask)  # during shutdown: killed, not respawned
+
+    def _feed(self) -> List[Tuple[_PoolTask, dict, int]]:
+        """Hand idle workers their next goals; once draining, fail the queue."""
         finishes: List[Tuple[_PoolTask, dict, int]] = []
         with self._lock:
-            slots = list(self._slots)
             if self._shutdown:
-                # Drain: everything not yet dispatched fails fast, all sessions.
                 for session in self._sessions.values():
                     while session._pending:
-                        ptask = session._pending.popleft()
                         finishes.append(
                             (
-                                ptask,
+                                session._pending.popleft(),
                                 {
                                     "status": "failed",
                                     "reason": "service shutting down: task abandoned before dispatch",
@@ -1328,162 +1113,193 @@ class WorkerPool:
                                 -1,
                             )
                         )
-            else:
-                for slot in slots:
-                    if not slot.idle:
-                        continue
-                    ptask = self._next_task(finishes)
-                    if ptask is None:
-                        break
+                return finishes
+            for slot in self._slots:
+                if slot.retired or not slot.idle:
+                    continue
+                ptask = self._next_task(finishes)
+                if ptask is None:
+                    break
+                try:
                     slot.submit(ptask.worker_wire)
-                    ptask.dispatched_mono = time.monotonic()
-                    ptask.dispatched_wall = time.time()
-                    self._inflight[ptask.uid] = (ptask, slot)
-                    ptask.session._inflight += 1
-                    self._dispatched += 1
-                    sid = ptask.session.sid
-                    if (
-                        self._last_sid is not None
-                        and self._last_sid != sid
-                        and self._last_sid in self._sessions
-                    ):
-                        # A dispatch alternating between two *live* sessions:
-                        # the observable trace of fair interleaving.
-                        self._interleaves += 1
-                    self._last_sid = sid
-        advanced = bool(finishes)
-
-        # Collect finished results (slot state is dispatcher-owned: no lock).
-        for slot in slots:
-            message = slot.poll()
-            if message is None:
-                continue
-            _, uid, outcome = message
-            entry = self._inflight.pop(uid, None)
-            if entry is None:
-                continue  # late echo of a task already settled by a kill
-            ptask, _ = entry
-            self._account(ptask, slot)
-            finishes.append((ptask, outcome, slot.slot))
-            slot.finish()
-            advanced = True
-
-        # Liveness, shutdown grace and hard deadlines.
-        now = time.monotonic()
-        for slot in slots:
-            if slot.idle:
-                continue
-            task = slot.current
-            entry = self._inflight.get(task["uid"])
-            ptask = entry[0] if entry else None
-            if not slot.process.is_alive():
-                message = slot.poll()
-                if message is not None and message[1] == task["uid"] and ptask is not None:
-                    # The result was flushed just before the process died.
-                    self._inflight.pop(task["uid"], None)
-                    self._account(ptask, slot)
-                    finishes.append((ptask, message[2], slot.slot))
-                    slot.finish()
-                else:
-                    exit_code = slot.process.exitcode
-                    if ptask is not None:
-                        self._inflight.pop(task["uid"], None)
-                        self._account(ptask, slot)
-                        if ptask.wire.get("trace"):
-                            self.tracer.emit(
-                                event_record(
-                                    "worker-crash",
-                                    str(ptask.wire["trace"]),
-                                    parent=str(
-                                        ptask.worker_wire.get("dispatch_span") or ""
-                                    ),
-                                    attrs={
-                                        "goal": ptask.wire["key"],
-                                        "slot": slot.slot,
-                                        "exit_code": exit_code,
-                                    },
-                                )
-                            )
-                        finishes.append(
-                            (
-                                ptask,
-                                {
-                                    "status": "failed",
-                                    "reason": f"worker crashed (exit code {exit_code}) while solving",
-                                },
-                                slot.slot,
-                            )
-                        )
-                self._replace(slot, ptask)
-                advanced = True
-                continue
-            if self._shutdown and now > self._shutdown_at + self._shutdown_grace:
-                if ptask is not None:
-                    self._inflight.pop(task["uid"], None)
-                    self._account(ptask, slot)
+                except OSError:
+                    # The worker died after this turn's wait: keep the goal
+                    # queued; the sentinel respawns the worker next turn.
+                    ptask.session._pending.appendleft(ptask)
+                    continue
+                except Exception as error:  # noqa: BLE001 - e.g. an unpicklable task
                     finishes.append(
-                        (
-                            ptask,
-                            {
-                                "status": "failed",
-                                "reason": (
-                                    "service shutting down: worker killed "
-                                    f"{now - slot.started_at:.1f}s into the goal"
-                                ),
-                            },
-                            slot.slot,
-                        )
+                        (ptask, {"status": "failed", "reason": f"task not sendable: {error!r}"}, -1)
                     )
-                slot.kill()
-                advanced = True
-                continue
-            timeout = task.get("config", {}).get("timeout")
-            if timeout is not None and now > slot.started_at + float(timeout) + self.hard_kill_grace:
-                if ptask is not None:
-                    self._inflight.pop(task["uid"], None)
-                    self._account(ptask, slot)
-                    finishes.append(
-                        (
-                            ptask,
-                            {
-                                "status": "timeout",
-                                "reason": (
-                                    f"hard deadline: worker killed "
-                                    f"{now - slot.started_at:.1f}s into a "
-                                    f"{task['config'].get('timeout')}s budget"
-                                ),
-                            },
-                            slot.slot,
-                        )
-                    )
-                self._replace(slot, ptask)
-                advanced = True
+                    continue
+                ptask.dispatched_mono = time.monotonic()
+                ptask.dispatched_wall = time.time()
+                self._inflight[ptask.uid] = (ptask, slot)
+                ptask.session._inflight += 1
+                self._dispatched += 1
+                sid = ptask.session.sid
+                if (
+                    self._last_sid is not None
+                    and self._last_sid != sid
+                    and self._last_sid in self._sessions
+                ):
+                    # A dispatch alternating between two *live* sessions:
+                    # the observable trace of fair interleaving.
+                    self._interleaves += 1
+                self._last_sid = sid
+        return finishes
 
-        # Deliver outside the lock: callbacks may store results or cancel.
+    @staticmethod
+    def _deliver(finishes: List[Tuple[_PoolTask, dict, int]]) -> None:
+        """Settle outcomes outside the lock: callbacks may store results or cancel."""
         for ptask, outcome, worker in finishes:
             ptask.session._finish(ptask, outcome, worker)
-        return advanced
 
     def _dispatch_forever(self) -> None:
         try:
             while not self._closing:
-                if not self._dispatch_once():
-                    time.sleep(0.005)
+                self._dispatch_once()
         except Exception as error:  # pragma: no cover - defensive backstop
             # A dispatcher that dies silently would strand every waiting
-            # session forever; fail all outstanding work and mark the pool.
-            failure = {"status": "failed", "reason": f"pool dispatcher crashed: {error!r}"}
-            leftovers: List[Tuple[_PoolTask, dict, int]] = []
-            with self._lock:
-                self._broken = f"pool dispatcher crashed: {error!r}"
-                for ptask, slot in self._inflight.values():
-                    leftovers.append((ptask, failure, slot.slot))
-                self._inflight.clear()
-                sessions = list(self._sessions.values())
-                for session in sessions:
-                    while session._pending:
-                        leftovers.append((session._pending.popleft(), failure, -1))
-            for ptask, outcome, worker in leftovers:
-                ptask.session._finish(ptask, outcome, worker)
+            # session forever; mark the pool and fail all outstanding work.
+            self._broken = f"pool dispatcher crashed: {error!r}"
+            self._fail_outstanding(self._broken)
+
+    def _fail_outstanding(self, reason: str) -> None:
+        """Fail every queued and in-flight task and release every waiting session."""
+        failure = {"status": "failed", "reason": reason}
+        leftovers: List[Tuple[_PoolTask, dict, int]] = []
+        with self._lock:
+            for ptask, slot in self._inflight.values():
+                leftovers.append((ptask, failure, slot.slot))
+            self._inflight.clear()
+            sessions = list(self._sessions.values())
             for session in sessions:
-                session._done.set()
+                while session._pending:
+                    leftovers.append((session._pending.popleft(), failure, -1))
+        self._deliver(leftovers)
+        for session in sessions:
+            session._done.set()
+
+
+# ---------------------------------------------------------------------------
+# Batch runs
+# ---------------------------------------------------------------------------
+
+
+class Scheduler:
+    """Run batches of tasks, each on a private :class:`WorkerPool`.
+
+    ``jobs``
+        Most workers per run; defaults to the CPU count.
+    ``resolver``
+        How workers obtain their problems (:data:`Spec` returning an iterable
+        of :class:`~repro.benchmarks_data.registry.BenchmarkProblem`).
+    ``worker_hook``
+        Optional :data:`Spec` invoked on every task inside the worker before
+        solving — the crash-injection seam used by the tests.
+    ``hard_kill_grace``
+        Extra seconds past a task's in-process timeout before the parent
+        terminates a (presumably hung) worker.
+    ``start_method``
+        ``multiprocessing`` start method; defaults to ``fork`` when available
+        (cheap on Linux — workers inherit already-imported modules) and the
+        platform default otherwise.
+
+    Each :meth:`run` is one :class:`PoolSession` on a fresh pool of
+    ``min(jobs, len(tasks))`` workers, closed when the run returns, so a batch
+    gets the service's engine — its dispatch, crash, deadline and drain
+    policy — without sharing its workers.
+    """
+
+    def __init__(
+        self,
+        jobs: Optional[int] = None,
+        resolver: Spec = DEFAULT_RESOLVER,
+        worker_hook: Optional[Spec] = None,
+        hard_kill_grace: float = 5.0,
+        start_method: Optional[str] = None,
+        tracer=None,
+    ):
+        self.jobs = max(1, int(jobs) if jobs else (os.cpu_count() or 1))
+        self.resolver = resolver
+        self.worker_hook = worker_hook
+        self.hard_kill_grace = max(0.5, float(hard_kill_grace))
+        self.start_method = start_method
+        #: Where queue/dispatch spans of traced tasks go; the proof service
+        #: injects its own per-daemon tracer, everyone else gets the ring.
+        self.tracer = tracer if tracer is not None else get_tracer()
+        #: per-slot utilisation of the last run: {slot: {"tasks", "busy_seconds", "respawns"}}
+        self.worker_stats: Dict[int, Dict[str, float]] = {}
+        #: worker processes the last run started (its pool plus respawns)
+        self.worker_spawns = 0
+        #: wall-clock duration of the last run
+        self.wall_seconds = 0.0
+        self._shutdown = False
+        self._shutdown_grace = 0.0
+        self._pool: Optional[WorkerPool] = None
+
+    def request_shutdown(self, grace: Optional[float] = None) -> None:
+        """Ask the running batch to drain: finish what is in flight, start nothing new.
+
+        Safe to call from another thread (the daemon's signal handler) while
+        :meth:`run` executes; forwards to the run's pool, see
+        :meth:`WorkerPool.request_shutdown`.  The flag is sticky: every later
+        :meth:`run` on this scheduler drains too, which is what a tearing-down
+        daemon wants.
+        """
+        self._shutdown_grace = self.hard_kill_grace if grace is None else max(0.0, float(grace))
+        self._shutdown = True
+        pool = self._pool
+        if pool is not None:
+            pool.request_shutdown(self._shutdown_grace)
+
+    @property
+    def shutting_down(self) -> bool:
+        return self._shutdown
+
+    def run(
+        self,
+        tasks: Iterable[Union[Task, dict]],
+        on_result: Optional[Callable[[dict, dict, Callable[[Iterable[int]], None]], None]] = None,
+    ) -> Dict[int, dict]:
+        """Execute every task; returns ``{uid: outcome dict}``.
+
+        Outcomes gain a ``"worker"`` key (the slot that solved them, ``-1``
+        for tasks cancelled before dispatch).  ``on_result(task, outcome,
+        cancel)`` is invoked in completion order; calling ``cancel(uids)``
+        marks still-pending tasks as :data:`STATUS_CANCELLED` without
+        dispatching them (in-flight tasks run to completion — their outcome is
+        still reported, the caller decides whether to use it).
+        """
+        started_run = time.monotonic()
+        wire: List[dict] = [t.to_wire() if isinstance(t, Task) else dict(t) for t in tasks]
+        results: Dict[int, dict] = {}
+        self.worker_stats = {}
+        self.worker_spawns = 0
+        if wire:
+            size = min(self.jobs, len(wire))
+            pool = WorkerPool(
+                jobs=size,
+                worker_hook=self.worker_hook,
+                hard_kill_grace=self.hard_kill_grace,
+                start_method=self.start_method,
+                tracer=self.tracer,
+                resolver=self.resolver,
+            )
+            session = pool.session(None)
+            self._pool = pool
+            if self._shutdown:
+                pool.request_shutdown(self._shutdown_grace)
+            try:
+                results = session.run(wire, on_result)
+            finally:
+                self._pool = None
+                pool.close()
+                idle = {"tasks": 0, "busy_seconds": 0.0, "respawns": 0}
+                self.worker_stats = {
+                    slot: session.worker_stats.get(slot, dict(idle)) for slot in range(size)
+                }
+                self.worker_spawns = session.worker_spawns
+        self.wall_seconds = time.monotonic() - started_run
+        return results

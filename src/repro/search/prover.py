@@ -513,8 +513,8 @@ class _ProofAttempt:
 
         # (FunExt) — goals of arrow type are applied to a fresh variable.
         if self.config.use_funext:
-            goal_type = self._goal_type(equation)
-            if isinstance(goal_type, FunTy):
+            goal_type = self.program.signature.arrow_type(equation.lhs)
+            if goal_type is not None:
                 frame.alts = iter((Alternative("funext", goal_type, 0),))
                 return None
 
@@ -640,12 +640,6 @@ class _ProofAttempt:
             self.rollback(frame.alt_mark)
             return None
         return [self._child(work, frame.depth, frame.case_depth, frame.path_goals)]
-
-    def _goal_type(self, equation: Equation):
-        try:
-            return self.program.signature.infer_type(equation.lhs)
-        except Exception:
-            return None
 
     # -- (Subst) ---------------------------------------------------------------------------------
 

@@ -134,8 +134,8 @@ class ServiceConfig:
 
     The escape hatch — and the paired-benchmark baseline — for the shared
     worker pool: requests serialise on a lock and each builds its own
-    :class:`~repro.engine.scheduler.Scheduler`, exactly as before the
-    concurrent request core existed.
+    :class:`~repro.engine.scheduler.Scheduler`, whose private pool spawns
+    its workers per request, as before the concurrent request core existed.
     """
 
     client_max_inflight: int = 0
@@ -635,11 +635,7 @@ class ProofService:
             learned = 0
         self._maybe_enrich(source, suite, state.fingerprint)
 
-        spawns = getattr(engine, "worker_spawns", None)
-        if spawns is None:
-            spawns = len(engine.worker_stats) + sum(
-                int(stats.get("respawns", 0)) for stats in engine.worker_stats.values()
-            )
+        spawns = engine.worker_spawns
         busy = sum(
             float(stats.get("busy_seconds") or 0.0) for stats in engine.worker_stats.values()
         )
@@ -991,10 +987,10 @@ class ProofService:
         """Start draining: refuse new submits, bound everything in flight.
 
         Thread-safe and idempotent — this is what the daemon's SIGTERM/SIGINT
-        handler calls while submits may be running in executor threads.  Both
-        engines drain: the shared pool fails all queued goals fast and bounds
-        on-worker goals by ``grace``, and a serialized-mode scheduler (if one
-        is mid-run) does the same for its batch.
+        handler calls while submits may be running in executor threads.  The
+        shared pool fails all queued goals fast and bounds on-worker goals by
+        ``grace``, and a serialized-mode scheduler (if one is mid-run) does
+        the same on its private pool.
         """
         self._closing = True
         grace_seconds = self.config.shutdown_grace if grace is None else grace

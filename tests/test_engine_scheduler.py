@@ -7,11 +7,17 @@ only goals with a wide margin have load-independent statuses).
 
 import multiprocessing
 import os
+import signal
+import sys
+import threading
+import time
+from dataclasses import asdict
 
 import pytest
 
 from repro.benchmarks_data import isaplanner_problems
 from repro.engine import Scheduler, Task, load_spec, solve_task
+from repro.engine.scheduler import WorkerPool
 from repro.harness import run_suite, run_suite_parallel
 from repro.search import ProverConfig
 
@@ -217,3 +223,87 @@ class TestSchedulerDirectly:
         results = scheduler.run([task])
         assert results[0]["status"] == "failed"
         assert "initialisation" in results[0]["reason"]
+
+
+def _prop_01_task(uid: int = 0) -> Task:
+    return Task(uid=uid, index=uid, suite="isaplanner", name="prop_01",
+                variant="v", config=asdict(ProverConfig(timeout=5.0)))
+
+
+@pytest.mark.skipif(not FORK_AVAILABLE, reason="engine tests rely on the fork start method")
+class TestEventDrivenPool:
+    def test_idle_worker_death_costs_no_goal(self):
+        """A worker killed between goals is respawned, not handed the next goal."""
+        pool = WorkerPool(jobs=1)
+        try:
+            first = pool.session("engine_hooks:tiny_resolver").run([_prop_01_task()])
+            assert first[0]["status"] == "proved"
+            process = pool._slots[0].process
+            os.kill(process.pid, signal.SIGKILL)
+            process.join(timeout=5.0)
+            assert not process.is_alive()
+            second = pool.session("engine_hooks:tiny_resolver").run([_prop_01_task()])
+            assert second[0]["status"] == "proved", second[0].get("reason")
+            assert pool.snapshot()["spawns"] == 2
+        finally:
+            pool.close()
+
+    def test_idle_dispatcher_blocks_instead_of_spinning(self, monkeypatch):
+        turns = []
+        dispatch_once = WorkerPool._dispatch_once
+
+        def counting(self, *args, **kwargs):
+            turns.append(time.monotonic())
+            return dispatch_once(self, *args, **kwargs)
+
+        monkeypatch.setattr(WorkerPool, "_dispatch_once", counting)
+        pool = WorkerPool(jobs=1)
+        try:
+            pool.ensure_started()
+            time.sleep(0.5)
+            assert len(turns) < 20, f"{len(turns)} dispatcher turns on an idle pool"
+            results = pool.session("engine_hooks:tiny_resolver").run([_prop_01_task()])
+            assert results[0]["status"] == "proved"
+        finally:
+            pool.close()
+
+    def test_close_wakes_a_blocked_dispatcher(self):
+        pool = WorkerPool(jobs=1)
+        pool.ensure_started()
+        pool.request_shutdown()
+        time.sleep(0.2)  # the dispatcher has drained nothing and is back in its wait
+        started = time.monotonic()
+        pool.close()
+        assert time.monotonic() - started < 2.0
+        assert pool.snapshot()["pool_size"] == 0
+
+    def test_concurrent_sessions_are_all_woken_and_served(self):
+        """Sessions joining from many threads at once: no wake-up may be lost."""
+        pool = WorkerPool(jobs=3)
+        results, errors = [], []
+
+        def client():
+            try:
+                outcome = pool.session("engine_hooks:tiny_resolver").run(
+                    [_prop_01_task(uid) for uid in range(5)]
+                )
+                results.append(outcome)
+            except Exception as error:  # noqa: BLE001 - reported by the assertion below
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=client) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+            pool.close()
+        assert not errors, errors
+        assert sorted(len(outcome) for outcome in results) == [5, 5, 5, 5]
+        assert all(o["status"] == "proved" for outcome in results for o in outcome.values())
+        assert pool.snapshot()["dispatched"] == 20

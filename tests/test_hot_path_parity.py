@@ -27,7 +27,7 @@ from repro.core.matching import match_or_none
 from repro.core.reference import reference_apply, reference_match_or_none
 from repro.core.substitution import Substitution
 from repro.core.terms import Sym, Var, apply_term
-from repro.core.types import DataTy
+from repro.core.types import DataTy, FunTy, TypeVar, arg_types, free_type_vars, rename_type_vars
 from repro.harness.runner import run_suite
 from repro.perf import reference_hot_paths
 from repro.search.config import ProverConfig
@@ -308,6 +308,101 @@ class TestClosureAgainstFromScratch:
         assert set(closure.graphs()) == closure_of(
             [first, _graph(1, 0, [("y", "x", False)])]
         )
+
+
+# ---------------------------------------------------------------------------
+# (FunExt) goal typing: Signature.arrow_type's shortcut against inference
+# ---------------------------------------------------------------------------
+
+_PRELUDE = isaplanner_problems()[0].program
+_PRELUDE_SIGNATURE = _PRELUDE.signature
+_LIST_NAT = DataTy("List", (NAT,))
+_BOOL = DataTy("Bool")
+_typed_variables = [
+    Var("n", NAT),
+    Var("xs", _LIST_NAT),
+    Var("b", _BOOL),
+    Var("f", FunTy(NAT, NAT)),
+    Var("p", FunTy(NAT, _BOOL)),
+    Var("v", TypeVar("a")),
+]
+_prelude_symbols = sorted(_PRELUDE_SIGNATURE.constructors + _PRELUDE_SIGNATURE.defined)
+_prelude_atoms = st.sampled_from([Sym(name) for name in _prelude_symbols] + _typed_variables)
+#: Arbitrary application spines over the prelude: mostly ill-typed, many
+#: partially applied, some over-applied.
+_random_spines = st.recursive(
+    _prelude_atoms,
+    lambda children: st.builds(
+        lambda head, args: apply_term(head, *args),
+        children,
+        st.lists(children, min_size=1, max_size=3),
+    ),
+    max_leaves=8,
+)
+
+
+@st.composite
+def _typed_spines(draw):
+    """A symbol applied to 0..arity+1 variables that fit its declared
+    argument types, so well-typed partial applications are common — and
+    polymorphic results (``ite b f f``, ``id f``) can come out as arrows."""
+    name = draw(st.sampled_from(["ite", "id"]) | st.sampled_from(_prelude_symbols))
+    params = arg_types(_PRELUDE_SIGNATURE.symbol_type(name))
+    args = []
+    for position in range(draw(st.integers(0, len(params) + 1))):
+        wanted = params[position] if position < len(params) else None
+        fitting = [
+            v for v in _typed_variables
+            if wanted is None or free_type_vars(wanted) or v.ty == wanted
+        ]
+        args.append(draw(st.sampled_from(fitting or _typed_variables)))
+    return apply_term(Sym(name), *args)
+
+
+prelude_terms = _random_spines | _typed_spines()
+
+
+def _arrow_by_inference(term):
+    try:
+        inferred = _PRELUDE_SIGNATURE.infer_type(term)
+    except Exception:
+        return None
+    return inferred if isinstance(inferred, FunTy) else None
+
+
+def _canonical(ty):
+    """``ty`` with its type variables renamed in order of first occurrence
+    (every inference mints fresh names)."""
+    if ty is None:
+        return None
+    return rename_type_vars(ty, {name: f"t{i}" for i, name in enumerate(free_type_vars(ty))})
+
+
+class TestFunExtGoalType:
+    @settings(max_examples=500, deadline=None)
+    @given(prelude_terms)
+    def test_agrees_with_inference(self, term):
+        assert _canonical(_PRELUDE_SIGNATURE.arrow_type(term)) == _canonical(_arrow_by_inference(term))
+
+    @pytest.mark.parametrize(
+        "spine, arrow",
+        [
+            ("add n", True),  # partial application
+            ("add n n", False),
+            ("add n n n", False),  # over-applied: ill-typed
+            ("map f", True),
+            ("ite b f f", True),  # the residue is a type variable bound to an arrow
+            ("ite b f f n", False),
+            ("ite b n n", False),
+            ("f n", False),  # variable head
+        ],
+    )
+    def test_hand_picked_shapes(self, spine, arrow):
+        atoms = {v.name: v for v in _typed_variables}
+        head, *args = [atoms.get(word) or Sym(word) for word in spine.split()]
+        term = apply_term(head, *args)
+        assert (_PRELUDE_SIGNATURE.arrow_type(term) is not None) == arrow
+        assert _canonical(_PRELUDE_SIGNATURE.arrow_type(term)) == _canonical(_arrow_by_inference(term))
 
 
 # ---------------------------------------------------------------------------
