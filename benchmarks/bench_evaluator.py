@@ -76,7 +76,7 @@ RANDOM_SAMPLES = 200
 RANDOM_DEPTH = 7
 
 
-def _collect_instances(program, equation, intern=None):
+def _collect_instances(program, equation, evaluator=None):
     variables = equation.variables()
     instances = list(
         instance_stream(
@@ -86,7 +86,7 @@ def _collect_instances(program, equation, intern=None):
             limit=EXHAUSTIVE_LIMIT,
             random_samples=RANDOM_SAMPLES,
             random_depth=RANDOM_DEPTH,
-            intern=intern,
+            evaluator=evaluator,
         )
     )
     return variables, instances
@@ -151,7 +151,7 @@ def run_conjecture_benchmark(repeats: int = 5) -> Tuple[str, float, float]:
     for source in CONJECTURES:
         equation = program.parse_equation(source)
         variables, instances = _collect_instances(
-            program, equation, intern=evaluator.intern_value
+            program, equation, evaluator=evaluator
         )
         prepared.append((source, equation, variables, instances))
 

@@ -684,10 +684,14 @@ def _disprove_command(args) -> int:
             status, detail = "unavailable", outcome.error
         else:
             status, detail = "no counterexample", f"{outcome.instances_tested} instances tested"
+        # Random-phase draws that were new instances, of all draws made: a
+        # low ratio means the random regime mostly re-drew known instances.
+        random_phase = f"{outcome.random_distinct}/{outcome.random_attempts}"
         rows.append(
-            (goal.name, status, outcome.instances_tested, f"{outcome.seconds * 1000:.2f}", detail)
+            (goal.name, status, outcome.instances_tested, random_phase,
+             f"{outcome.seconds * 1000:.2f}", detail)
         )
-    print(format_table(("goal", "status", "tested", "ms", "detail"), rows))
+    print(format_table(("goal", "status", "tested", "random new/drawn", "ms", "detail"), rows))
     print(
         f"\ndisproved {disproved}/{len(selection)} goal(s) "
         f"(depth {config.depth}, ≤{config.exhaustive_limit} exhaustive + "

@@ -275,10 +275,9 @@ def check_equation(
     except CompilationError:
         evaluator = None
     normalizer: Optional[Normalizer] = None
-    intern = evaluator.intern_value if evaluator is not None else None
     for index, instance in enumerate(
         instance_stream(
-            program.signature, variables, depth=depth, limit=limit, intern=intern
+            program.signature, variables, depth=depth, limit=limit, evaluator=evaluator
         )
     ):
         if limit is not None and index >= limit:

@@ -290,10 +290,12 @@ class Evaluator:
         self._fn_table: Dict[str, Callable] = {}
         self._fn_memos: Dict[str, dict] = {}
         self._selector_cache: Dict[str, object] = {}
-        #: Compiled-expression cache for closed terms fed to :meth:`evaluate`
-        #: (id-keyed: hash-consed terms make the same term the same object).
-        self._term_exprs: Dict[int, tuple] = {}
-        self._term_pins: List[Term] = []
+        #: Compiled expressions by ``(id(term), slots)``, each stored with its
+        #: term so the id stays valid.  Hash-consed terms make the same term
+        #: the same object, so compiling it again (every falsification of a
+        #: goal compiles its sides) returns the same expression, and with it
+        #: the same pinned closure, instead of pinning a fresh one each time.
+        self._compiled: Dict[tuple, Tuple[Term, tuple]] = {}
         self._remaining = max_calls
         for name, fn_rules in grouped.items():
             arities = {len(spine(rule.lhs)[1]) for rule in fn_rules}
@@ -339,6 +341,11 @@ class Evaluator:
             self._intern[key] = value
             self._canon[id(value)] = value
         return value
+
+    #: Public name of the constructor interning, for value builders outside
+    #: the machine: the falsifier's random instances are built through it
+    #: node by node, so they arrive canonical and skip :meth:`intern_value`.
+    make_constructor = _mk_con
 
     def _mk_closure(
         self, symbol: str, arity: int, args: Tuple["Value", ...], is_constructor: bool
@@ -793,9 +800,13 @@ class Evaluator:
 
         Iterative post-order over the spine decomposition, memoised per shared
         node — deep ground terms compile without recursion, and DAG-shared
-        subterms compile once.
+        subterms compile once.  The result is cached per term and slots.
         """
         slots = slots or {}
+        key = (id(term),) + tuple(sorted(slots.items()))
+        cached = self._compiled.get(key)
+        if cached is not None:
+            return cached[1]
         memo: Dict[int, tuple] = {}
         stack: List[Tuple[Term, bool]] = [(term, False)]
         while stack:
@@ -811,7 +822,9 @@ class Evaluator:
                 continue
             children = tuple(memo[id(arg)] for arg in args)
             memo[id(node)] = self._combine(head, children, slots)
-        return memo[id(term)]
+        expr = memo[id(term)]
+        self._compiled[key] = (term, expr)
+        return expr
 
     def _combine(
         self, head: Term, children: Tuple[tuple, ...], slots: Mapping[str, int]
@@ -932,7 +945,8 @@ class Evaluator:
         """Do two compiled expressions evaluate to the same value under ``env``?
 
         The falsifier's inner test.  The environment must already be canonical
-        (values produced by :meth:`intern_value` or by the machine itself);
+        (values produced by :meth:`intern_value`, :meth:`make_constructor` or
+        the machine itself);
         because values are hash-consed, identity decides.
         """
         self._remaining = self.max_calls
@@ -1213,21 +1227,15 @@ class Evaluator:
         """Compile and run a term in one step.
 
         ``env`` optionally maps free-variable names to values; without it the
-        term must be closed.  Closed terms cache their compiled expression
-        (terms are hash-consed, so the same term object re-evaluates without
-        recompiling).
+        term must be closed.  :meth:`compile` caches the expression, so the
+        same (hash-consed) term re-evaluates without recompiling.
         """
         if env:
             names = sorted(env)
             slots = {name: index for index, name in enumerate(names)}
             expr = self.compile(term, slots)
             return self.run(expr, [env[name] for name in names])
-        expr = self._term_exprs.get(id(term))
-        if expr is None:
-            expr = self.compile(term)
-            self._term_exprs[id(term)] = expr
-            self._term_pins.append(term)
-        return self.run(expr, ())
+        return self.run(self.compile(term), ())
 
 
 class EvaluationSession:
@@ -1285,7 +1293,7 @@ class EvaluationSession:
         """Decide one instance: a ``TEST_*`` verdict.
 
         ``env`` must be canonical values in the session's slot layout (the
-        instance stream's ``intern=evaluator.intern_value`` contract).
+        instance stream's ``evaluator=`` contract).
         """
         evaluator = self.evaluator
         evaluator._remaining = evaluator.max_calls

@@ -38,7 +38,7 @@ from .evaluator import (
     Evaluator,
     render_value,
 )
-from .generators import DEFAULT_SEED, instance_stream
+from .generators import DEFAULT_SEED, RandomPhaseStats, instance_stream
 
 __all__ = [
     "FalsificationConfig",
@@ -195,6 +195,12 @@ class FalsificationOutcome:
     premise_skips: int = 0
     """Instances skipped because a conditional premise did not hold."""
 
+    random_attempts: int = 0
+    """Draws the random phase made (it stops at ``8 * random_samples``)."""
+
+    random_distinct: int = 0
+    """Random draws that were new instances; the rest were duplicates."""
+
     seconds: float = 0.0
     """Wall-clock time of the run."""
 
@@ -259,6 +265,7 @@ def falsify_equation(
         return outcome
 
     deadline = None if config.timeout is None else started + config.timeout
+    random_phase = RandomPhaseStats()
     stream = instance_stream(
         program.signature,
         variables,
@@ -267,7 +274,8 @@ def falsify_equation(
         random_samples=config.random_samples,
         random_depth=config.random_depth,
         seed=config.seed,
-        intern=evaluator.intern_value,
+        evaluator=evaluator,
+        stats=random_phase,
     )
     # One batched session decides each instance with a single call: premises
     # short-circuit, both sides compare by value identity, and the whole
@@ -310,5 +318,7 @@ def falsify_equation(
         )
         outcome.instances_tested += 1
         break
+    outcome.random_attempts = random_phase.attempts
+    outcome.random_distinct = random_phase.distinct
     outcome.seconds = time.perf_counter() - started
     return outcome

@@ -20,13 +20,23 @@ the other domains|).
 
 Values are the evaluator's representation — plain ``(constructor, ...)``
 tuples — so generation allocates no :class:`~repro.core.terms.Term` at all.
+
+Random sampling is table-driven: a stream concretises each type and
+instantiates its constructors once, into a table with the nullary subset
+beside it, instead of on every recursive draw.  Given the consumer's
+evaluator, random values are built through its constructor interning, node
+by node, so they arrive hash-consed without a canonicalisation walk.  Neither
+changes a draw: for the same seed the stream is byte-identical to sampling
+without tables or interning (``tests/test_generator_parity.py`` holds a
+frozen copy of that untabled sampler).
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from typing import Iterator, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..core.types import DataTy, Type, TypeVar
 
@@ -36,6 +46,7 @@ __all__ = [
     "sample_value",
     "fair_product",
     "instance_stream",
+    "RandomPhaseStats",
     "DEFAULT_SEED",
 ]
 
@@ -85,6 +96,74 @@ def enumerate_values(signature, ty: Type, depth: int) -> Iterator[tuple]:
             yield (con_name,) + combo
 
 
+def _sampler(signature, rng: random.Random, make=None) -> Callable[[Type, int], Optional[tuple]]:
+    """The :func:`sample_value` function of one stream, over memoised tables.
+
+    Each type gets one table, ``(type, constructors, nullary constructors)``,
+    built on the type's first draw at a positive depth (exactly where
+    :func:`sample_value` first looked constructors up, so even a malformed
+    type fails at the same point).  A constructor is ``(name, argument types,
+    value)``: instantiated at the concretised type, with its value prebuilt
+    when it is nullary.  Tables are keyed by ``id``; each table holds its
+    type, so the id cannot be reused while the sampler lives.
+
+    ``make(name, args)`` builds each node; an evaluator's
+    ``make_constructor`` returns values already interned.  The draws are
+    those of ``rng.sample(constructors, n)`` inlined: the same ``n`` calls of
+    ``rng._randbelow`` in the same order, all before the first recursive
+    call, so the stream is byte-identical to the untabled one.
+    """
+    if make is None:
+        make = _make_tuple
+    tables: Dict[int, tuple] = {}
+    randbelow = rng._randbelow
+
+    def build(ty: Type) -> tuple:
+        concrete = concretise_type(signature, ty)
+        if not isinstance(concrete, DataTy) or concrete.name not in signature.datatypes:
+            return ty, [], []
+        candidates = [
+            (name, args, None if args else make(name, ()))
+            for name, args in signature.instantiate_constructors(concrete)
+        ]
+        return ty, candidates, [c for c in candidates if not c[1]]
+
+    def sample(ty: Type, depth: int) -> Optional[tuple]:
+        if depth <= 0:
+            return None
+        table = tables.get(id(ty))
+        if table is None:
+            table = tables[id(ty)] = build(ty)
+        candidates = table[1] if depth > 1 else table[2]
+        n = len(candidates)
+        if not n:
+            return None
+        pool = list(candidates)
+        order = []
+        for i in range(n):
+            j = randbelow(n - i)
+            order.append(pool[j])
+            pool[j] = pool[n - i - 1]
+        for con_name, arg_tys, value in order:
+            if value is not None:
+                return value
+            args = []
+            for arg_ty in arg_tys:
+                arg = sample(arg_ty, depth - 1)
+                if arg is None:
+                    break
+                args.append(arg)
+            else:
+                return make(con_name, tuple(args))
+        return None
+
+    return sample
+
+
+def _make_tuple(name: str, args: tuple) -> tuple:
+    return (name,) + args
+
+
 def sample_value(signature, ty: Type, depth: int, rng: random.Random) -> Optional[tuple]:
     """One random constructor value of ``ty`` within ``depth``, or ``None``.
 
@@ -95,26 +174,7 @@ def sample_value(signature, ty: Type, depth: int, rng: random.Random) -> Optiona
     aborting half its draws.  ``None`` only when no value of the type fits
     within ``depth`` at all.
     """
-    ty = concretise_type(signature, ty)
-    if not isinstance(ty, DataTy) or ty.name not in signature.datatypes or depth <= 0:
-        return None
-    candidates = signature.instantiate_constructors(ty)
-    if depth == 1:
-        candidates = [(name, args) for name, args in candidates if not args]
-    if not candidates:
-        return None
-    for con_name, arg_tys in rng.sample(candidates, len(candidates)):
-        args = []
-        complete = True
-        for arg_ty in arg_tys:
-            arg = sample_value(signature, arg_ty, depth - 1, rng)
-            if arg is None:
-                complete = False
-                break
-            args.append(arg)
-        if complete:
-            return (con_name,) + tuple(args)
-    return None
+    return _sampler(signature, rng)(ty, depth)
 
 
 def fair_product(sizes: Sequence[int]) -> Iterator[Tuple[int, ...]]:
@@ -157,6 +217,17 @@ def fair_product(sizes: Sequence[int]) -> Iterator[Tuple[int, ...]]:
             yield from itertools.product(*ranges)
 
 
+@dataclass
+class RandomPhaseStats:
+    """What the random phase of one :func:`instance_stream` drew, so far."""
+
+    attempts: int = 0
+    """Random draws made (each draws one value per variable)."""
+
+    distinct: int = 0
+    """Draws that were new instances, i.e. that the stream yielded."""
+
+
 def instance_stream(
     signature,
     variables: Sequence,
@@ -165,28 +236,34 @@ def instance_stream(
     random_samples: int = 0,
     random_depth: Optional[int] = None,
     seed: int = DEFAULT_SEED,
-    intern=None,
+    evaluator=None,
+    stats: Optional[RandomPhaseStats] = None,
 ) -> Iterator[Tuple[tuple, ...]]:
     """Instance tuples (one value per variable) for a conjecture's variables.
 
     First up to ``limit`` exhaustive instances at ``depth`` in fair-shell
     order, then up to ``random_samples`` *distinct* random instances at
     ``random_depth`` (default ``depth + 3``) drawn from a ``Random(seed)`` —
-    deterministic end to end.  Yields nothing when any variable's type has no
-    ground values (the conjecture is then vacuous at this bound, exactly as
-    for the term-level enumeration).
+    deterministic end to end.  The random phase stops after ``8 *
+    random_samples`` draws even if fewer were distinct.  Yields nothing when
+    any variable's type has no ground values (the conjecture is then vacuous
+    at this bound, exactly as for the term-level enumeration).
 
-    ``intern`` (optionally :meth:`repro.semantics.evaluator.Evaluator.intern_value`)
-    is applied once per distinct generated value, so the consumer receives
-    hash-consed values and never pays a per-instance canonicalisation walk.
+    With an ``evaluator`` (a :class:`repro.semantics.evaluator.Evaluator`)
+    the consumer receives hash-consed values and never pays a per-instance
+    canonicalisation walk: exhaustive values are interned once per distinct
+    value, and random values are built already interned, node by node,
+    through :meth:`~repro.semantics.evaluator.Evaluator.make_constructor`.
+    The instances are equal to those of a stream without an evaluator.
+    ``stats``, when given, is updated as the random phase runs.
     """
     domains: List[List[tuple]] = []
     for var in variables:
         domain = list(enumerate_values(signature, var.ty, depth))
         if not domain:
             return
-        if intern is not None:
-            domain = [intern(value) for value in domain]
+        if evaluator is not None:
+            domain = [evaluator.intern_value(value) for value in domain]
         domains.append(domain)
     # `seen` only serves random-phase dedup; without a random phase the
     # exhaustive product streams without retention.
@@ -202,16 +279,21 @@ def instance_stream(
         yield instance
     if not random_samples:
         return
-    rng = random.Random(seed)
+    if stats is None:
+        stats = RandomPhaseStats()
+    sample = _sampler(
+        signature,
+        random.Random(seed),
+        None if evaluator is None else evaluator.make_constructor,
+    )
+    types = [var.ty for var in variables]
     sample_depth = random_depth if random_depth is not None else depth + 3
-    produced = 0
-    attempts = 0
     max_attempts = random_samples * 8
-    while produced < random_samples and attempts < max_attempts:
-        attempts += 1
+    while stats.distinct < random_samples and stats.attempts < max_attempts:
+        stats.attempts += 1
         values = []
-        for var in variables:
-            value = sample_value(signature, var.ty, sample_depth, rng)
+        for ty in types:
+            value = sample(ty, sample_depth)
             if value is None:
                 # Unsatisfiable draw (type with no values at this depth at
                 # all — the exhaustive phase already proved values exist at
@@ -219,12 +301,12 @@ def instance_stream(
                 # but a failed draw must cost one attempt, not the phase).
                 values = None
                 break
-            values.append(value if intern is None else intern(value))
+            values.append(value)
         if values is None:
             continue
         instance = tuple(values)
         if instance in seen:
             continue
         seen.add(instance)
-        produced += 1
+        stats.distinct += 1
         yield instance

@@ -24,9 +24,14 @@ closure graph into ``s`` (or empty) and ``β`` a sequence of generators.  So
 the update starts from ``e`` and every ``X∘e`` and extends each new graph on
 the right by the generators out of its target only — not by every closure
 graph on either side.  Deduplicating by summary is exact, because how a graph
-extends depends only on its summary.  :func:`closure_of` keeps the plain
-two-sided worklist: it is the independent from-scratch oracle that the
-certificate checker and the differential tests compare against.
+extends depends only on its summary.
+
+:func:`closure_of` is the same one-sided idea without generators or undo:
+each new graph is extended on the right by the *input* graphs out of its
+target (Lee, Jones & Ben-Amram, POPL 2001).  It shares no state with
+:class:`IncrementalClosure`, so the certificate checker uses it as the
+independent from-scratch computation; the tests check both against a
+definition-level fixpoint that composes every pair until nothing new appears.
 """
 
 from __future__ import annotations
@@ -49,25 +54,30 @@ _Key = Tuple[int, int, frozenset]
 
 
 def closure_of(graphs: Iterable[SizeChangeGraph], max_graphs: int = 100_000) -> Set[SizeChangeGraph]:
-    """The least set containing ``graphs`` and closed under composition."""
+    """The least set containing ``graphs`` and closed under composition.
+
+    One-sided worklist: the closure is exactly the set of compositions of
+    non-empty paths of input graphs, and every such path is an input graph
+    extended on the right, one input graph at a time.  So each new graph is
+    extended by the *input* graphs out of its target only, never composed
+    with closure graphs on either side.  Deduplicating by summary is exact,
+    because how a graph extends depends only on its summary.
+
+    The closure grows monotonically to its final set, so the budget error is
+    raised exactly when that set has more than ``max(max_graphs,
+    len(set(graphs)))`` graphs, whatever order the worklist takes.
+    """
     closure: Set[SizeChangeGraph] = set(graphs)
-    by_source: Dict[int, Set[SizeChangeGraph]] = {}
-    by_target: Dict[int, Set[SizeChangeGraph]] = {}
+    inputs_from: Dict[int, List[SizeChangeGraph]] = {}
     for g in closure:
-        by_source.setdefault(g.source, set()).add(g)
-        by_target.setdefault(g.target, set()).add(g)
+        inputs_from.setdefault(g.source, []).append(g)
     worklist: List[SizeChangeGraph] = list(closure)
     while worklist:
         graph = worklist.pop()
-        successors = list(by_source.get(graph.target, ()))
-        predecessors = list(by_target.get(graph.source, ()))
-        candidates = [graph.compose(nxt) for nxt in successors]
-        candidates.extend(prev.compose(graph) for prev in predecessors)
-        for candidate in candidates:
+        for nxt in inputs_from.get(graph.target, ()):
+            candidate = graph.compose(nxt)
             if candidate not in closure:
                 closure.add(candidate)
-                by_source.setdefault(candidate.source, set()).add(candidate)
-                by_target.setdefault(candidate.target, set()).add(candidate)
                 worklist.append(candidate)
                 if len(closure) > max_graphs:
                     raise RuntimeError("size-change closure exceeded its size budget")

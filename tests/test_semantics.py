@@ -289,6 +289,33 @@ class TestFalsify:
         assert outcome.counterexample is None
         assert outcome.instances_tested > 0
 
+    def test_one_nat_variable_exhausts_the_random_phase_on_duplicates(self, prelude):
+        # Exhaustion at depth 4 covers Z .. S^3 Z; depth-7 draws add only
+        # S^4 Z .. S^6 Z, so every other draw up to the 8 x 200 cap repeats.
+        equation = prelude.parse_equation("add x Z === x")
+        outcome = falsify_equation(prelude, equation)
+        assert outcome.counterexample is None
+        assert outcome.random_attempts == 8 * FalsificationConfig().random_samples
+        assert outcome.random_distinct == 3
+        assert outcome.instances_tested == 4 + 3
+
+    def test_falsifying_again_pins_no_new_compiled_code(self, prelude):
+        # Each falsification compiles the goal's sides; the evaluator pins
+        # compiled expressions for its lifetime, so a recompile must hit.
+        goal = false_conjectures_problems()[0]
+        evaluator = Evaluator.for_program(goal.program)
+        falsify_goal(goal.program, goal.goal)
+        pinned = len(evaluator._expr_pins), len(evaluator._literals)
+        for _ in range(3):
+            falsify_goal(goal.program, goal.goal)
+        assert (len(evaluator._expr_pins), len(evaluator._literals)) == pinned
+
+    def test_random_draw_counts_stay_out_of_the_counterexample(self, prelude):
+        equation = prelude.parse_equation("rev (app xs ys) === app (rev xs) (rev ys)")
+        outcome = falsify_equation(prelude, equation)
+        assert outcome.random_attempts == outcome.random_distinct == 0
+        assert "random" not in " ".join(outcome.counterexample.to_dict())
+
     def test_conditional_premises_are_respected(self, prelude):
         # n <= m ==> n <= S m is TRUE; an implementation ignoring premises
         # would "refute" it on instances where the premise fails.

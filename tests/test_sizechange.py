@@ -1,6 +1,7 @@
 """Unit tests for size-change graphs, their closure, and SCT termination."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.lang import load_program
 from repro.sizechange.closure import (
@@ -134,6 +135,81 @@ class TestIncrementalClosure:
         incremental.add(g)
         result = incremental.add(g)
         assert result.added == ()
+
+
+def closure_by_definition(graphs):
+    """Definition 5.4 read literally: compose every pair until nothing new appears."""
+    closure = set(graphs)
+    while True:
+        new = {
+            left.compose(right)
+            for left in closure
+            for right in closure
+            if left.target == right.source
+        } - closure
+        if not new:
+            return closure
+        closure |= new
+
+
+# Random graph sets over 1-4 vertices (self-loops included) and two
+# variables, with both edge labels.
+_graph_sets = st.integers(min_value=1, max_value=4).flatmap(
+    lambda vertices: st.lists(
+        st.builds(
+            graph,
+            st.integers(0, vertices - 1),
+            st.integers(0, vertices - 1),
+            st.lists(
+                st.tuples(st.sampled_from("xy"), st.sampled_from("xy"), st.booleans()),
+                max_size=4,
+            ),
+        ),
+        max_size=6,
+    )
+)
+
+
+class TestClosureAgainstDefinition:
+    """``closure_of`` and ``IncrementalClosure`` against the definition-level fixpoint."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(_graph_sets)
+    def test_both_closures_match_the_fixpoint(self, graphs):
+        expected = closure_by_definition(graphs)
+        assert closure_of(graphs) == expected
+        incremental = IncrementalClosure()
+        for g in graphs:
+            incremental.add(g)
+        assert set(incremental.graphs()) == expected
+
+    @settings(deadline=None, max_examples=150)
+    @given(_graph_sets, st.integers(min_value=-3, max_value=3))
+    def test_budget_error_iff_the_closure_exceeds_it(self, graphs, offset):
+        # Budgets around the closure's size, where an off-by-one would show.
+        size = len(closure_by_definition(graphs))
+        max_graphs = max(0, size + offset)
+        exceeds = size > max(max_graphs, len(set(graphs)))
+        try:
+            closure_of(graphs, max_graphs=max_graphs)
+        except RuntimeError:
+            assert exceeds
+        else:
+            assert not exceeds
+
+    def test_budget_counts_new_graphs_not_inputs(self):
+        unrelated = [graph(0, 1, []), graph(2, 3, []), graph(4, 5, [])]
+        assert len(closure_of(unrelated, max_graphs=1)) == 3
+        with pytest.raises(RuntimeError):
+            closure_of(unrelated + [graph(1, 2, [])], max_graphs=3)
+
+    def test_three_step_path_needs_the_worklist(self):
+        # a∘b∘c exists only if a∘b (or b∘c) is itself extended further.
+        a = graph(0, 1, [("x", "y", DECREASE)])
+        b = graph(1, 2, [("y", "x", NO_DECREASE)])
+        c = graph(2, 3, [("x", "x", NO_DECREASE)])
+        assert a.compose(b).compose(c) in closure_of([c, b, a])
+        assert closure_of([a, b, c]) == closure_by_definition([a, b, c])
 
 
 TERMINATING_SOURCE = """
