@@ -15,6 +15,7 @@ the type-driven operations the prover needs:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .exceptions import SignatureError, TypeCheckError, UnificationError
@@ -119,8 +120,13 @@ class Signature:
 
     @property
     def datatypes(self) -> Mapping[str, DataDecl]:
-        """All datatype declarations, keyed by name."""
-        return dict(self._datatypes)
+        """All datatype declarations, keyed by name: a read-only live view.
+
+        No copy is made (the generators read this once per type they
+        concretise), so the view reflects later declarations and rejects
+        writes; declare through :meth:`declare_datatype`.
+        """
+        return MappingProxyType(self._datatypes)
 
     @property
     def constructors(self) -> Tuple[str, ...]:

@@ -296,6 +296,13 @@ class Evaluator:
         #: goal compiles its sides) returns the same expression, and with it
         #: the same pinned closure, instead of pinning a fresh one each time.
         self._compiled: Dict[tuple, Tuple[Term, tuple]] = {}
+        #: Instance streams memoised by
+        #: :func:`repro.semantics.generators.instance_stream`, keyed by the
+        #: variables' concretised types and the stream parameters.  Their
+        #: values are canonical in this evaluator's intern tables, so
+        #: :meth:`clear_caches` drops them too.  Like every table here, not
+        #: thread-safe.
+        self.stream_memo: Dict[tuple, object] = {}
         self._remaining = max_calls
         for name, fn_rules in grouped.items():
             arities = {len(spine(rule.lhs)[1]) for rule in fn_rules}
@@ -394,16 +401,51 @@ class Evaluator:
         return done[id(value)]
 
     def clear_caches(self) -> None:
-        """Empty the intern tables and the call memo together.
+        """Empty the intern tables, the call memo and the stream memo together.
 
         They must go together: memo keys hold ``id``s of interned objects, so
         clearing one without the other could let a recycled id alias a stale
-        entry.  Compiled expressions remain valid (their literals are pinned).
+        entry, and a memoised instance stream holds values that would no
+        longer be canonical (identity would stop meaning equality).  Compiled
+        expressions stay valid: their pinned literals are registered again as
+        the canonical values, so a value built afterwards is identical to an
+        equal literal (without that, ``Nil`` built by an instance would no
+        longer be the ``Nil`` a compiled side returns, and the two would
+        compare unequal).
         """
         self._intern.clear()
         self._canon.clear()
         for memo in self._fn_memos.values():
             memo.clear()
+        self.stream_memo.clear()
+        for literal in self._literals:
+            self._register_canonical(literal)
+
+    def _register_canonical(self, value: "Value") -> None:
+        """Make ``value`` and its sub-values canonical again, as they are.
+
+        Only for values that were canonical before the tables were emptied:
+        such values are a DAG without structural duplicates, so registering
+        them keeps "structurally equal means identical".
+        """
+        stack: List[Tuple[Value, bool]] = [(value, False)]
+        canon = self._canon
+        while stack:
+            node, expanded = stack.pop()
+            if canon.get(id(node)) is node:
+                continue
+            if isinstance(node, Closure):
+                children = node.args
+                key = ("\x00closure", node.symbol) + tuple(map(id, children))
+            else:
+                children = node[1:]
+                key = (node[0],) + tuple(map(id, children))
+            if not expanded:
+                stack.append((node, True))
+                stack.extend((child, False) for child in children)
+                continue
+            self._intern[key] = node
+            canon[id(node)] = node
 
     # -- the closure-compiled fast path ---------------------------------------
     #

@@ -29,13 +29,33 @@ by node, so they arrive hash-consed without a canonicalisation walk.  Neither
 changes a draw: for the same seed the stream is byte-identical to sampling
 without tables or interning (``tests/test_generator_parity.py`` holds a
 frozen copy of that untabled sampler).
+
+A stream is a pure function of the signature, the *concretised* variable
+types and its parameters; variable names do not enter it.  So, given an
+evaluator of the same signature, :func:`instance_stream` memoises it on that
+evaluator (``Evaluator.stream_memo``) under the key ``(concretised variable
+types, depth, limit, random_samples, random_depth, seed)``, and every later
+consumer of the key replays it: the exhaustive prefix is re-walked through
+:func:`fair_product` over the memoised domains (interned once), and the
+random phase is drawn once, lazily, by one suspended generator whose
+instances, with the draw count at each, consumers share.  A consumer's :class:`RandomPhaseStats` reads at every stopping point
+exactly what a freshly generated stream would report there.  Only the
+stream is memoised, never a verdict: every instance still runs through the
+consumer's test.  The memo has no size cap (its keys are bounded by the
+distinct type signatures) and lives as long as the evaluator; its values are
+canonical in the evaluator's intern tables, so ``Evaluator.clear_caches``
+drops it with them.  Like the evaluator's other tables it is not
+thread-safe.  Without an evaluator, or with an evaluator of another
+signature, every stream is generated afresh.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from array import array
 from dataclasses import dataclass
+from operator import getitem
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..core.types import DataTy, Type, TypeVar
@@ -228,6 +248,98 @@ class RandomPhaseStats:
     """Draws that were new instances, i.e. that the stream yielded."""
 
 
+class _Stream:
+    """The generated part of one instance stream, replayable by many consumers.
+
+    ``domains`` holds each variable's exhaustive domain (``None`` when some
+    variable has no ground values); consumers re-walk the exhaustive prefix
+    through :func:`fair_product` over them.  The random phase is drawn at
+    most once, lazily, by one suspended generator: ``instances`` holds the
+    distinct random instances drawn so far and ``attempts[k]`` the number of
+    draws made when ``instances[k]`` was found; ``final`` is the number of
+    draws once the phase has ended (``None`` before).  The draws' ``seen``
+    set and sampler live only in that generator's frame, so they are freed
+    when the phase ends.
+    """
+
+    __slots__ = ("domains", "limit", "instances", "attempts", "final", "_draws")
+
+    def __init__(self, signature, types, depth, limit, random_samples, random_depth, seed, evaluator):
+        domains: Optional[List[List[tuple]]] = []
+        for ty in types:
+            domain = list(enumerate_values(signature, ty, depth))
+            if not domain:
+                domains = None
+                break
+            if evaluator is not None:
+                domain = [evaluator.intern_value(value) for value in domain]
+            domains.append(domain)
+        self.domains = domains
+        self.limit = limit
+        self.instances: List[Tuple[tuple, ...]] = []
+        self.attempts = array("q")
+        self.final: Optional[int] = None
+        self._draws = None
+        if domains is not None and random_samples:
+            self._draws = self._draw(
+                signature,
+                types,
+                random_samples,
+                random_depth if random_depth is not None else depth + 3,
+                seed,
+                None if evaluator is None else evaluator.make_constructor,
+            )
+
+    def exhaustive(self) -> Iterator[Tuple[tuple, ...]]:
+        """The exhaustive prefix: up to ``limit`` instances in fair-shell order."""
+        domains = self.domains
+        combos = fair_product([len(domain) for domain in domains])
+        if self.limit is not None:
+            combos = itertools.islice(combos, self.limit)
+        for combo in combos:
+            yield tuple(map(getitem, domains, combo))
+
+    def extend(self) -> bool:
+        """Draw until one more random instance is found; ``False`` once the phase is over."""
+        draws = self._draws
+        if draws is None:
+            return False
+        found = len(self.instances)
+        next(draws, None)
+        return len(self.instances) > found
+
+    def _draw(self, signature, types, random_samples, sample_depth, seed, make):
+        seen = set(self.exhaustive())
+        sample = _sampler(signature, random.Random(seed), make)
+        attempts = 0
+        max_attempts = random_samples * 8
+        while len(self.instances) < random_samples and attempts < max_attempts:
+            attempts += 1
+            values = []
+            for ty in types:
+                value = sample(ty, sample_depth)
+                if value is None:
+                    # Unsatisfiable draw (type with no values at this depth at
+                    # all — the exhaustive phase already proved values exist
+                    # at `depth <= sample_depth`, so this is effectively
+                    # unreachable, but a failed draw must cost one attempt,
+                    # not the phase).
+                    values = None
+                    break
+                values.append(value)
+            if values is None:
+                continue
+            instance = tuple(values)
+            if instance in seen:
+                continue
+            seen.add(instance)
+            self.instances.append(instance)
+            self.attempts.append(attempts)
+            yield
+        self.final = attempts
+        self._draws = None
+
+
 def instance_stream(
     signature,
     variables: Sequence,
@@ -254,59 +366,52 @@ def instance_stream(
     canonicalisation walk: exhaustive values are interned once per distinct
     value, and random values are built already interned, node by node,
     through :meth:`~repro.semantics.evaluator.Evaluator.make_constructor`.
-    The instances are equal to those of a stream without an evaluator.
-    ``stats``, when given, is updated as the random phase runs.
+    When ``signature is evaluator.signature`` the stream is also memoised on
+    the evaluator (see the module docstring), so it is generated once per
+    type signature and parameters, and replayed after that.  The instances
+    are equal to those of a stream without an evaluator.
+
+    ``stats``, when given, has the random phase's draws and new instances
+    added to it as the consumer advances: at every point where the consumer
+    stops, it reads what a freshly generated stream would report there.
     """
-    domains: List[List[tuple]] = []
-    for var in variables:
-        domain = list(enumerate_values(signature, var.ty, depth))
-        if not domain:
-            return
-        if evaluator is not None:
-            domain = [evaluator.intern_value(value) for value in domain]
-        domains.append(domain)
-    # `seen` only serves random-phase dedup; without a random phase the
-    # exhaustive product streams without retention.
-    seen: Optional[set] = set() if random_samples else None
-    count = 0
-    for combo in fair_product([len(domain) for domain in domains]):
-        if limit is not None and count >= limit:
-            break
-        instance = tuple(domains[i][index] for i, index in enumerate(combo))
-        if seen is not None:
-            seen.add(instance)
-        count += 1
-        yield instance
+    stream = _stream_for(
+        signature, variables, depth, limit, random_samples, random_depth, seed, evaluator
+    )
+    if stream.domains is None:
+        return
+    yield from stream.exhaustive()
     if not random_samples:
         return
     if stats is None:
         stats = RandomPhaseStats()
-    sample = _sampler(
-        signature,
-        random.Random(seed),
-        None if evaluator is None else evaluator.make_constructor,
-    )
-    types = [var.ty for var in variables]
-    sample_depth = random_depth if random_depth is not None else depth + 3
-    max_attempts = random_samples * 8
-    while stats.distinct < random_samples and stats.attempts < max_attempts:
-        stats.attempts += 1
-        values = []
-        for ty in types:
-            value = sample(ty, sample_depth)
-            if value is None:
-                # Unsatisfiable draw (type with no values at this depth at
-                # all — the exhaustive phase already proved values exist at
-                # `depth <= sample_depth`, so this is effectively unreachable,
-                # but a failed draw must cost one attempt, not the phase).
-                values = None
-                break
-            values.append(value)
-        if values is None:
-            continue
-        instance = tuple(values)
-        if instance in seen:
-            continue
-        seen.add(instance)
+    instances, attempts = stream.instances, stream.attempts
+    reported = 0
+    index = 0
+    while index < len(instances) or stream.extend():
+        stats.attempts += attempts[index] - reported
+        reported = attempts[index]
         stats.distinct += 1
-        yield instance
+        yield instances[index]
+        index += 1
+    stats.attempts += stream.final - reported
+
+
+def _stream_for(signature, variables, depth, limit, random_samples, random_depth, seed, evaluator) -> _Stream:
+    """The memoised :class:`_Stream` of these parameters, or a fresh one.
+
+    The memo lives on the evaluator and is used only for the evaluator's own
+    signature.  Its key holds the *concretised* variable types: variable
+    names and unconcretised type variables do not change the stream.
+    """
+    types = tuple(concretise_type(signature, var.ty) for var in variables)
+    if evaluator is None or signature is not evaluator.signature:
+        return _Stream(signature, types, depth, limit, random_samples, random_depth, seed, evaluator)
+    key = (types, depth, limit, random_samples, random_depth, seed)
+    memo = evaluator.stream_memo
+    stream = memo.get(key)
+    if stream is None:
+        stream = memo[key] = _Stream(
+            signature, types, depth, limit, random_samples, random_depth, seed, evaluator
+        )
+    return stream

@@ -12,6 +12,7 @@ import sys
 import threading
 import time
 from dataclasses import asdict
+from multiprocessing.connection import wait as wait_for_events
 
 import pytest
 
@@ -240,8 +241,15 @@ class TestEventDrivenPool:
             assert first[0]["status"] == "proved"
             process = pool._slots[0].process
             os.kill(process.pid, signal.SIGKILL)
-            process.join(timeout=5.0)
-            assert not process.is_alive()
+            # The dispatcher thread reaps the worker too.  `Popen.poll` is not
+            # thread-safe: the loser of the `waitpid` race reads ECHILD as
+            # "still running" until the winner records the exit code, so
+            # wait for the sentinel and then for that record, under a deadline.
+            assert wait_for_events([process.sentinel], timeout=5.0)
+            deadline = time.monotonic() + 5.0
+            while process.exitcode is None and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert process.exitcode is not None, "the killed worker is still alive"
             second = pool.session("engine_hooks:tiny_resolver").run([_prop_01_task()])
             assert second[0]["status"] == "proved", second[0].get("reason")
             assert pool.snapshot()["spawns"] == 2

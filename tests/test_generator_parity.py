@@ -15,6 +15,13 @@ change a single draw.  The evidence:
   IsaPlanner and false-conjecture suites, recorded with the untabled
   generators: any change to the stream moves an instance count or a
   counterexample.
+
+Given its evaluator, ``instance_stream`` also memoises each stream on it and
+replays it to later consumers.  The reference stream reports its random
+phase's draws as the stream did before memoisation (counters updated in
+place as it generates), so every consumer of a memoised stream is checked,
+step by step, against a freshly generated one: values identical (``is``) and
+``RandomPhaseStats`` equal at every point where it could stop.
 """
 
 from __future__ import annotations
@@ -32,8 +39,9 @@ from repro.core.signature import Signature
 from repro.core.terms import Var
 from repro.core.types import DataTy, TypeVar
 from repro.semantics.evaluator import Evaluator
-from repro.semantics.falsify import falsify_goal
+from repro.semantics.falsify import FalsificationConfig, falsify_goal
 from repro.semantics.generators import (
+    RandomPhaseStats,
     concretise_type,
     enumerate_values,
     fair_product,
@@ -73,7 +81,7 @@ def reference_sample_value(signature, ty, depth, rng):
 
 
 def reference_instance_stream(signature, variables, depth, limit=None, random_samples=0,
-                              random_depth=None, seed=0x5EED, intern=None):
+                              random_depth=None, seed=0x5EED, intern=None, stats=None):
     domains = []
     for var in variables:
         domain = list(enumerate_values(signature, var.ty, depth))
@@ -96,11 +104,14 @@ def reference_instance_stream(signature, variables, depth, limit=None, random_sa
         return
     rng = random.Random(seed)
     sample_depth = random_depth if random_depth is not None else depth + 3
+    if stats is None:
+        stats = RandomPhaseStats()
     produced = 0
     attempts = 0
     max_attempts = random_samples * 8
     while produced < random_samples and attempts < max_attempts:
         attempts += 1
+        stats.attempts += 1
         values = []
         for var in variables:
             value = reference_sample_value(signature, var.ty, sample_depth, rng)
@@ -115,6 +126,7 @@ def reference_instance_stream(signature, variables, depth, limit=None, random_sa
             continue
         seen.add(instance)
         produced += 1
+        stats.distinct += 1
         yield instance
 
 
@@ -235,13 +247,167 @@ data NE = One Nat | More Nat NE
 
 
 # ---------------------------------------------------------------------------
+# Memoised streams against freshly generated ones
+# ---------------------------------------------------------------------------
+
+_END = object()
+
+
+class _Consumer:
+    """Steps one stream, recording each item with the stats read right after it.
+
+    The last record of an exhausted stream is ``(_END, stats)``: what a
+    consumer that ran the stream dry reads.  Every prefix of the record is
+    what a consumer stopping there (on a counterexample or a deadline) sees.
+    """
+
+    def __init__(self, stream, stats):
+        self.stream, self.stats = stream, stats
+        self.trace = []
+        self.done = False
+
+    def step(self):
+        item = next(self.stream, _END)
+        self.done = item is _END
+        self.trace.append((item, (self.stats.attempts, self.stats.distinct)))
+
+    def run(self, stop=None):
+        while not self.done and (stop is None or len(self.trace) < stop):
+            self.step()
+        return self.trace
+
+
+def _fresh(signature, variables, evaluator, kwargs):
+    stats = RandomPhaseStats()
+    stream = reference_instance_stream(
+        signature, variables, intern=evaluator.intern_value, stats=stats, **kwargs
+    )
+    return _Consumer(stream, stats).run()
+
+
+def _memoised(signature, variables, evaluator, kwargs):
+    stats = RandomPhaseStats()
+    return _Consumer(
+        instance_stream(signature, variables, evaluator=evaluator, stats=stats, **kwargs), stats
+    )
+
+
+def _assert_same(actual, expected):
+    assert len(actual) == len(expected)
+    for (item, stats), (want, want_stats) in zip(actual, expected):
+        assert stats == want_stats
+        if want is _END:
+            assert item is _END
+        else:
+            assert len(item) == len(want) and all(a is b for a, b in zip(item, want))
+
+
+class TestMemoisedStreamsReplayFreshOnes:
+    @settings(deadline=None, max_examples=80)
+    @given(st.data())
+    def test_cold_warm_partial_and_interleaved_consumers(self, data):
+        signature = data.draw(signatures())
+        types = data.draw(variable_types(signature))
+        variables = [Var(f"v{i}", ty) for i, ty in enumerate(types)]
+        # Other names, type variables concretised: the same memo key.
+        renamed = [Var(f"w{i}", concretise_type(signature, ty)) for i, ty in enumerate(types)]
+        # Depth 3 can enumerate millions of values of a 26-constructor type;
+        # depths 1-2 keep the eight streams per example small.
+        base = dict(
+            depth=data.draw(st.integers(1, 2)),
+            limit=data.draw(st.integers(0, 20)),
+            random_samples=data.draw(st.integers(0, 30)),
+            random_depth=data.draw(st.integers(0, 8)),
+            seed=data.draw(st.integers(0, 2**32)),
+        )
+        # One field changed each: every parameter of the stream is in its key.
+        variants = [
+            dict(base, seed=base["seed"] + 1),
+            dict(base, random_depth=base["random_depth"] + 1),
+            dict(base, limit=base["limit"] + 3),
+            dict(base, depth=3 - base["depth"]),
+            dict(base, random_samples=base["random_samples"] + 5),
+        ]
+        evaluator = Evaluator(signature, [])
+        expected = _fresh(signature, variables, evaluator, base)
+
+        # Cold memo, then each variant on the same evaluator, then warm.
+        _assert_same(_memoised(signature, variables, evaluator, base).run(), expected)
+        for kwargs in variants:
+            _assert_same(_memoised(signature, variables, evaluator, kwargs).run(),
+                         _fresh(signature, variables, evaluator, kwargs))
+        _assert_same(_memoised(signature, renamed, evaluator, base).run(), expected)
+        assert len(evaluator.stream_memo) == 1 + len(variants)
+
+        # A partial prefix on a cold memo, then the full stream.
+        evaluator = Evaluator(signature, [])
+        expected = _fresh(signature, variables, evaluator, base)
+        stop = data.draw(st.integers(0, len(expected)))
+        partial = _memoised(signature, variables, evaluator, base)
+        _assert_same(partial.run(stop), expected[:stop])
+        partial.stream.close()
+        _assert_same(_memoised(signature, renamed, evaluator, base).run(), expected)
+
+        # Two consumers of one key, interleaved from a cold memo.
+        evaluator = Evaluator(signature, [])
+        expected = _fresh(signature, variables, evaluator, base)
+        first = _memoised(signature, variables, evaluator, base)
+        second = _memoised(signature, renamed, evaluator, base)
+        for pick in data.draw(st.lists(st.booleans(), max_size=2 * len(expected))):
+            consumer = first if pick else second
+            if not consumer.done:
+                consumer.step()
+        _assert_same(first.run(), expected)
+        _assert_same(second.run(), expected)
+        assert len(evaluator.stream_memo) == 1
+
+    def test_without_an_evaluator_nothing_is_memoised(self):
+        program = load_program(SUITE_PROGRAM_SOURCES["isaplanner"], name="isaplanner")
+        variables = [Var("n", DataTy("Nat")), Var("xs", DataTy("List", (DataTy("Nat"),)))]
+        kwargs = dict(depth=3, limit=10, random_samples=20, random_depth=5, seed=7)
+        first = list(instance_stream(program.signature, variables, **kwargs))
+        second = list(instance_stream(program.signature, variables, **kwargs))
+        assert first == second
+        assert all(a is not b for a, b in zip(first, second))
+        # Nor for an evaluator of another signature: values interned, no memo.
+        evaluator = Evaluator(Signature(), [])
+        third = list(instance_stream(program.signature, variables, evaluator=evaluator, **kwargs))
+        assert third == first and not evaluator.stream_memo
+        _assert_canonical(evaluator, third)
+
+    def test_clear_caches_drops_the_memoised_streams(self):
+        program = load_program(SUITE_PROGRAM_SOURCES["isaplanner"], name="isaplanner")
+        goals = [program.goals[name] for name in sorted(program.goals)[:16]]
+        evaluator = Evaluator.for_program(program)
+        before = [_digest(falsify_goal(program, goal), random_phase=True) for goal in goals]
+        assert evaluator.stream_memo
+        evaluator.clear_caches()
+        assert not evaluator.stream_memo
+        assert [_digest(falsify_goal(program, goal), random_phase=True) for goal in goals] == before
+        config = FalsificationConfig()
+        for goal in goals:
+            for instance in instance_stream(
+                program.signature,
+                list(goal.equation.variables()),
+                depth=config.depth,
+                limit=config.exhaustive_limit,
+                random_samples=config.random_samples,
+                random_depth=config.random_depth,
+                seed=config.seed,
+                evaluator=evaluator,
+            ):
+                for value in instance:
+                    assert evaluator.intern_value(value) is value
+
+
+# ---------------------------------------------------------------------------
 # Falsification outcomes of both suites, recorded with the untabled generators
 # ---------------------------------------------------------------------------
 
 
-def _digest(outcome):
+def _digest(outcome, random_phase=False):
     cex = outcome.counterexample
-    return {
+    digest = {
         "instances_tested": outcome.instances_tested,
         "premise_skips": outcome.premise_skips,
         "error": outcome.error,
@@ -252,13 +418,22 @@ def _digest(outcome):
             "instances_tested": cex.instances_tested,
         },
     }
+    if random_phase:
+        digest["random"] = (outcome.random_attempts, outcome.random_distinct)
+    return digest
 
 
 def test_falsify_outcomes_match_the_recorded_fixture():
     expected = json.loads(FIXTURE.read_text())["outcomes"]
-    actual = {}
-    for suite in ("isaplanner", "false_conjectures"):
-        program = load_program(SUITE_PROGRAM_SOURCES[suite], name=suite)
-        for name in sorted(program.goals):
-            actual[f"{suite}/{name}"] = _digest(falsify_goal(program, program.goals[name]))
-    assert actual == expected
+    programs = {
+        suite: load_program(SUITE_PROGRAM_SOURCES[suite], name=suite)
+        for suite in ("isaplanner", "false_conjectures")
+    }
+    # The second run replays every stream from its program's warm memo.
+    for run in ("cold memo", "warm memo"):
+        actual = {}
+        for suite, program in programs.items():
+            for name in sorted(program.goals):
+                actual[f"{suite}/{name}"] = _digest(falsify_goal(program, program.goals[name]))
+        assert actual == expected, run
+        assert all(Evaluator.for_program(program).stream_memo for program in programs.values())

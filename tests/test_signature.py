@@ -2,6 +2,9 @@
 
 import pytest
 
+from repro import load_program
+from repro.benchmarks_data.prelude import PRELUDE_SOURCE
+from repro.benchmarks_data.registry import SUITE_PROGRAM_SOURCES
 from repro.core.exceptions import SignatureError, TypeCheckError
 from repro.core.signature import ConstructorDecl, DataDecl, Signature
 from repro.core.terms import Sym, Var, apply_term
@@ -89,6 +92,36 @@ class TestQueries:
     def test_describe_mentions_everything(self):
         text = make_signature().describe()
         assert "data Nat" in text and "add ::" in text
+
+
+class TestDatatypesView:
+    def test_writes_through_the_view_raise(self):
+        view = make_signature().datatypes
+        with pytest.raises(TypeError):
+            view["Bool"] = view["Nat"]
+        with pytest.raises(TypeError):
+            del view["Nat"]
+        assert not hasattr(view, "pop") and not hasattr(view, "clear")
+
+    def test_the_view_reflects_later_declarations(self):
+        sig = make_signature()
+        view = sig.datatypes
+        sig.datatype("Bool", (), [("True", ()), ("False", ())])
+        assert list(view) == ["Nat", "List", "Bool"]
+        assert [c.name for c in view["Bool"].constructors] == ["True", "False"]
+
+    # Recorded when `datatypes` still returned a copy: the digest reads the
+    # declarations through the view and must not move.
+    @pytest.mark.parametrize("source, digest", [
+        (SUITE_PROGRAM_SOURCES["isaplanner"],
+         "db94bf5be36f8714534d5f12862aeef6a5aaa3acc6c4db03b3ad4b4b31f31466"),
+        (SUITE_PROGRAM_SOURCES["mutual"],
+         "0979e3f066cab010c542b6d02208a2290b313a060b15709669a49b9b13dd1e35"),
+        (PRELUDE_SOURCE,
+         "db94bf5be36f8714534d5f12862aeef6a5aaa3acc6c4db03b3ad4b4b31f31466"),
+    ], ids=["isaplanner", "mutual", "prelude"])
+    def test_program_fingerprints_are_unchanged(self, source, digest):
+        assert load_program(source).fingerprint() == digest
 
 
 class TestTyping:
