@@ -193,15 +193,6 @@ def service_summary_table(metrics: Dict[str, object]) -> str:
     def count(name: str) -> int:
         return int(metrics.get(name) or 0)
 
-    def latency(name: str) -> str:
-        bucket = metrics.get(name) or {}
-        n = int(bucket.get("count") or 0)
-        if not n:
-            return "-"
-        total = float(bucket.get("total") or 0.0)
-        worst = float(bucket.get("max") or 0.0)
-        return f"{total / n * 1000.0:.2f} ms mean, {worst * 1000.0:.2f} ms max (n={n})"
-
     def rate(hits: int, misses: int) -> str:
         total = hits + misses
         if not total:
@@ -230,8 +221,6 @@ def service_summary_table(metrics: Dict[str, object]) -> str:
          f" (max concurrent {count('max_concurrent_sessions')})"),
         ("interleaved dispatches (fairness)", count("interleaved_dispatches")),
         ("request errors", count("errors")),
-        ("replay latency", latency("replay_latency")),
-        ("solve latency", latency("solve_latency")),
     ]
 
     def histogram(snapshot: object) -> str:

@@ -10,13 +10,14 @@ traversal to instantiate the right-hand side.  The ground evaluator
 symbol's rules into one Maranget-style decision tree beats that machinery by
 an order of magnitude; this module transfers the technique to *open* terms.
 
-A :class:`CompiledRewriteSystem` compiles, per defined head symbol, all of
-that symbol's rules into a single match tree walked directly over the
-hash-consed term DAG:
+A :class:`CompiledRewriteSystem` takes, per defined head symbol, the match
+tree that :mod:`repro.rewriting.matchtree` builds from that symbol's rules and
+emits it as a walk over the hash-consed term DAG:
 
 * **switches** test constructor tags positionally — one probe of the target
   subterm's cached spine head (``_head``) plus one integer comparison on its
-  cached spine length (``_nargs``);
+  cached spine length (``_nargs``), the spine length the tree records per
+  case;
 * **leaves** bind the matched variables through fixed attribute chains into
   the rule's right-hand side, rebuilt through the owning
   :class:`~repro.core.interning.TermBank` with ground subterms folded to
@@ -36,16 +37,14 @@ branch (and fail the match when there is none) — which is precisely the
 generic matcher's behaviour, since a symbol-headed pattern spine only matches
 a target spine with the same head and length.
 
-**Fallback.**  Rule shapes the compiler declines — non-left-linear rules,
-argument patterns containing defined symbols or applied variables (both can
-enter through ``add_rule(validate=False)`` during completion), per-head arity
-disagreement, a constructor matched at two different arities in one column —
-mark the *whole head* as generic: :meth:`CompiledRewriteSystem.matcher_for`
-returns ``None`` and the normaliser runs the candidate+match loop for that
-symbol.  Per-head granularity keeps first-match declaration-order semantics
-exact; the match trees themselves preserve it too (row order survives
-specialisation), so compiled and generic dispatch agree rule-for-rule even on
-overlapping, non-orthogonal systems.
+**Fallback.**  A head whose rules :func:`~repro.rewriting.matchtree.compile_head`
+declines (the fragment is listed there; declined shapes can enter through
+``add_rule(validate=False)`` during completion) is marked *generic* as a
+whole: :meth:`CompiledRewriteSystem.matcher_for` returns ``None`` and the
+normaliser runs the candidate+match loop for that symbol.  Per-head
+granularity keeps first-match declaration-order semantics exact; the match
+trees themselves preserve it too, so compiled and generic dispatch agree
+rule-for-rule even on overlapping, non-orthogonal systems.
 
 **Invalidation.**  Compiled trees are only sound for a fixed rule set.  Every
 tree records the :attr:`~repro.rewriting.trs.RewriteSystem.epoch` it was
@@ -64,35 +63,12 @@ from __future__ import annotations
 import time
 from typing import Callable, Dict, List, Optional, Tuple
 
-from ..core.terms import App, Sym, Term, Var, free_vars, spine, subterms
+from ..core.terms import Term, Var
+from .matchtree import FAIL, LEAF, MatchCompilationDeclined, compile_head
 from .rules import RewriteRule
 from .trs import RewriteSystem
 
 __all__ = ["CompiledRewriteSystem", "MatchCompilationDeclined"]
-
-
-class MatchCompilationDeclined(Exception):
-    """A head symbol's rules fall outside the compilable fragment.
-
-    Raised (and caught) internally: the head is recorded as generic and the
-    normaliser transparently falls back to candidate lookup + matching for it.
-    """
-
-
-# Node tags of the compiled match tree (the evaluator's layout, adapted):
-#   (_LEAF, bindings, rhs)            bindings: {var name: fetch program},
-#                                     rhs: the rule's right-hand side term
-#   (_SWITCH, fetch, cases, default)  cases: {constructor: (nargs, subtree)}
-#   (_FAIL,)                          head has no rules
-#
-# A fetch program is a tuple selecting a subterm of the matched spine:
-# (i, h1, h2, ...) starts at argument i of the root call and each h walks h
-# times into ``.fun`` and once into ``.arg`` — the binary encoding of
-# "argument j of an m-ary constructor spine" (h = m - 1 - j), resolved at
-# compile time because every switch fixes the constructor (and hence the
-# spine length) of the positions beneath it.  The emitter turns each program
-# into a fixed attribute chain in the generated source.
-_LEAF, _SWITCH, _FAIL = 0, 1, 2
 
 
 def _never_matches(term: Term) -> Optional[Term]:
@@ -171,124 +147,11 @@ class CompiledRewriteSystem:
         self.compile_seconds += time.perf_counter() - started
         return matcher
 
-    # -- compilation: rows and matrices ----------------------------------------
+    # -- compilation ---------------------------------------------------------
 
     def _compile_rules(self, head: str, rules: Tuple[RewriteRule, ...]) -> Callable:
-        signature = self.system.signature
-        arities = {len(rule.patterns) for rule in rules}
-        if len(arities) != 1:
-            raise MatchCompilationDeclined(f"{head}: rules disagree on arity")
-        arity = arities.pop()
-        rows = []
-        for rule in rules:
-            if not rule.is_left_linear():
-                raise MatchCompilationDeclined(f"{head}: {rule} is not left-linear")
-            pattern_vars = {v.name for v in free_vars(rule.lhs)}
-            for var in free_vars(rule.rhs):
-                if var.name not in pattern_vars:
-                    # Possible via add_rule(validate=False); the builder could
-                    # never be closed over an unbound slot.
-                    raise MatchCompilationDeclined(
-                        f"{head}: right-hand side of {rule} has unbound variables"
-                    )
-            for pattern in rule.patterns:
-                for sub in subterms(pattern):
-                    if isinstance(sub, Sym) and not signature.is_constructor(sub.name):
-                        raise MatchCompilationDeclined(
-                            f"{head}: pattern {pattern} contains non-constructor "
-                            f"symbol {sub.name}"
-                        )
-                    if isinstance(sub, App) and sub._head is None:
-                        raise MatchCompilationDeclined(
-                            f"{head}: pattern {pattern} applies a variable"
-                        )
-            columns = [((index,), pattern) for index, pattern in enumerate(rule.patterns)]
-            rows.append((columns, {}, rule.rhs))
-        tree = self._compile_matrix(head, rows)
+        arity, tree = compile_head(head, rules, self.system.signature)
         return self._emit_matcher(head, arity, tree)
-
-    def _compile_matrix(self, head: str, rows: List) -> tuple:
-        """Maranget compilation, specialised for open-term matching.
-
-        Identical in structure to ``Evaluator._compile_matrix``; the one
-        difference is that switch cases carry the spine length the pattern
-        demands, because an open scrutinee's constructor may be partially
-        applied and must then fall through to the default branch.
-        """
-        if not rows:
-            return (_FAIL,)
-        columns, bindings, rhs = rows[0]
-        split = next(
-            (i for i, (_, p) in enumerate(columns) if p is not None and not isinstance(p, Var)),
-            None,
-        )
-        if split is None:
-            # First row matches unconditionally: bind its variables and stop —
-            # any later rows are unreachable at this point of the tree.
-            leaf_bindings = dict(bindings)
-            for program, pattern in columns:
-                if pattern is not None:
-                    leaf_bindings[pattern.name] = program
-            return (_LEAF, leaf_bindings, rhs)
-        program = columns[split][0]
-        case_arity: Dict[str, int] = {}
-        case_order: List[str] = []
-        for row_columns, _, _ in rows:
-            pattern = next((p for o, p in row_columns if o == program), None)
-            if pattern is None or isinstance(pattern, Var):
-                continue
-            con, sub_patterns = spine(pattern)
-            known = case_arity.get(con.name)
-            if known is None:
-                case_arity[con.name] = len(sub_patterns)
-                case_order.append(con.name)
-            elif known != len(sub_patterns):
-                raise MatchCompilationDeclined(
-                    f"{head}: constructor {con.name} is matched at two arities"
-                )
-        cases: Dict[str, Tuple[int, tuple]] = {}
-        for constructor in case_order:
-            nargs = case_arity[constructor]
-            sub_rows = []
-            for row_columns, row_bindings, row_rhs in rows:
-                new_row = self._specialise(row_columns, row_bindings, program, constructor, nargs)
-                if new_row is not None:
-                    sub_rows.append((new_row[0], new_row[1], row_rhs))
-            cases[constructor] = (nargs, self._compile_matrix(head, sub_rows))
-        default_rows = []
-        for row_columns, row_bindings, row_rhs in rows:
-            pattern = next((p for o, p in row_columns if o == program), None)
-            if pattern is None or isinstance(pattern, Var):
-                new_bindings = dict(row_bindings)
-                if pattern is not None:
-                    new_bindings[pattern.name] = program
-                new_columns = [(o, p) for o, p in row_columns if o != program]
-                default_rows.append((new_columns, new_bindings, row_rhs))
-        default = self._compile_matrix(head, default_rows) if default_rows else None
-        return (_SWITCH, program, cases, default)
-
-    @staticmethod
-    def _specialise(columns, bindings, program, constructor: str, nargs: int):
-        """One row specialised to ``constructor`` (of spine length ``nargs``)
-        at ``program``, or ``None`` when the row demands a different one."""
-        new_columns = []
-        new_bindings = dict(bindings)
-        for occurrence, pattern in columns:
-            if occurrence != program:
-                new_columns.append((occurrence, pattern))
-                continue
-            if pattern is None or isinstance(pattern, Var):
-                if pattern is not None:
-                    new_bindings[pattern.name] = occurrence
-                for index in range(nargs):
-                    new_columns.append((occurrence + (nargs - 1 - index,), None))
-                continue
-            con, sub_patterns = spine(pattern)
-            if con.name != constructor or len(sub_patterns) != nargs:
-                return None
-            for index, sub_pattern in enumerate(sub_patterns):
-                new_columns.append((occurrence + (nargs - 1 - index,), sub_pattern))
-        return new_columns, new_bindings
 
     # -- emission --------------------------------------------------------------
 
@@ -296,16 +159,19 @@ class CompiledRewriteSystem:
         """Emit one head's match tree as Python source and compile it.
 
         The generated function takes the spine-headed term and returns its
-        root reduct by the first matching rule, or ``None``.  Fetch programs
+        root reduct by the first matching rule, or ``None``.  Occurrences
         become fixed attribute chains bound to locals on first use (and only
         within the branch that established the constructor making the chain
-        valid); switches become ``if``/``elif`` chains over ``_head`` tags and
+        valid): child ``j`` of an ``m``-ary spine is ``m - 1 - j`` steps into
+        ``.fun`` and one into ``.arg``, where ``m`` is the spine length the
+        enclosing switch case records (the head's arity at the root).
+        Switches become ``if``/``elif`` chains over ``_head`` tags and
         ``_nargs`` lengths; leaves return the right-hand side rebuilt through
         ``bank.app``, with ground subterms pre-interned into the namespace as
         constants.  ``exec`` runs once per (head, epoch) — every later root
         reduction is one plain function call.
         """
-        if tree[0] == _FAIL:
+        if tree[0] == FAIL:
             return _never_matches
         bank = self.bank
         namespace: Dict[str, object] = {"_app": bank.app}
@@ -315,23 +181,24 @@ class CompiledRewriteSystem:
             "        return None",
         ]
         counter = [0]
+        # Spine length at each switched occurrence.  Each case rebinds its
+        # own, which is sound because emission is depth-first and a subtree
+        # only reads lengths bound on its own path.
+        spine_length: Dict[tuple, int] = {(): arity}
 
         def fresh(prefix: str) -> str:
             counter[0] += 1
             return f"{prefix}{counter[0]}"
 
-        def ensure(program: tuple, bound: Dict[tuple, str], indent: int) -> str:
-            name = bound.get(program)
+        def ensure(occurrence: tuple, bound: Dict[tuple, str], indent: int) -> str:
+            name = bound.get(occurrence)
             if name is not None:
                 return name
-            if len(program) == 1:
-                expr = "term" + ".fun" * (arity - 1 - program[0]) + ".arg"
-            else:
-                parent = ensure(program[:-1], bound, indent)
-                expr = parent + ".fun" * program[-1] + ".arg"
+            parent = "term" if len(occurrence) == 1 else ensure(occurrence[:-1], bound, indent)
+            steps = spine_length[occurrence[:-1]] - 1 - occurrence[-1]
             name = fresh("v")
-            lines.append(f"{' ' * indent}{name} = {expr}")
-            bound[program] = name
+            lines.append(f"{' ' * indent}{name} = {parent}{'.fun' * steps}.arg")
+            bound[occurrence] = name
             return name
 
         def constant(term: Term) -> str:
@@ -348,19 +215,19 @@ class CompiledRewriteSystem:
 
         def emit(node: tuple, bound: Dict[tuple, str], indent: int) -> None:
             pad = " " * indent
-            if node[0] == _LEAF:
+            if node[0] == LEAF:
                 _, bindings, rhs = node
                 slots = {
-                    var: ensure(program, bound, indent)
-                    for var, program in bindings.items()
+                    var: ensure(occurrence, bound, indent)
+                    for var, occurrence in bindings.items()
                 }
                 lines.append(f"{pad}return {rhs_expr(rhs, slots)}")
                 return
-            if node[0] == _FAIL:  # pragma: no cover - matrices prune empty cases
+            if node[0] == FAIL:  # pragma: no cover - matrices prune empty cases
                 lines.append(f"{pad}return None")
                 return
-            _, program, cases, default = node
-            scrutinee = ensure(program, bound, indent)
+            _, occurrence, cases, default = node
+            scrutinee = ensure(occurrence, bound, indent)
             tag = fresh("h")
             lines.append(f"{pad}{tag} = {scrutinee}._head")
             branch = "if"
@@ -368,6 +235,7 @@ class CompiledRewriteSystem:
                 lines.append(
                     f"{pad}{branch} {tag} == {con!r} and {scrutinee}._nargs == {nargs}:"
                 )
+                spine_length[occurrence] = nargs
                 emit(subtree, dict(bound), indent + 4)
                 branch = "elif"
             lines.append(f"{pad}else:")

@@ -12,9 +12,9 @@ This module compiles the program once and then answers the narrow question
 directly:
 
 * Each defined function's rewrite rules become one **pattern-match decision
-  tree** (Maranget-style): a chain of constructor switches over argument
-  *occurrences* ending in a leaf that binds variable slots and names the
-  compiled right-hand side.  Matching a call is then a handful of tuple
+  tree**, the one :mod:`repro.rewriting.matchtree` builds for the prover's
+  normaliser too, lowered here to leaves that bind variable slots and name
+  the compiled right-hand side.  Matching a call is then a handful of tuple
   indexing operations — no rule index lookups, no generic matching, no
   substitution objects.
 * Ground **values** are plain Python tuples ``(constructor, arg_value, ...)``
@@ -34,13 +34,12 @@ directly:
   recursive evaluations (``rev`` of a very long list) never die on Python's
   recursion limit, and ordinary ones never pay the explicit stack's overhead.
 
-The evaluator is deliberately partial: rules whose shape falls outside the
-elaborated-functional-program fragment (non-uniform arities, non-constructor
-patterns — e.g. systems mid-completion) raise :class:`CompilationError` at
-construction, and a call with no matching rule raises :class:`StuckEvaluation`
-at run time.  Callers (``check_equation``, the falsifier) catch both and fall
-back to the normaliser, so compiled evaluation is a fast path, never a
-semantics change.
+The evaluator is deliberately partial: rules that the match-tree compiler
+declines (non-uniform arities, non-constructor patterns, … — e.g. systems
+mid-completion) raise :class:`CompilationError` at construction, and a call
+with no matching rule raises :class:`StuckEvaluation` at run time.  Callers
+(``check_equation``, the falsifier) catch both and fall back to the
+normaliser, so compiled evaluation is a fast path, never a semantics change.
 """
 
 from __future__ import annotations
@@ -49,6 +48,7 @@ from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, 
 
 from ..core.exceptions import CycleQError
 from ..core.terms import Sym, Term, Var, apply_term, spine
+from ..rewriting.matchtree import FAIL, LEAF, MatchCompilationDeclined, compile_head
 
 __all__ = [
     "Evaluator",
@@ -214,16 +214,15 @@ def render_value(value: Value) -> str:
 # pairs in order (excluding the complex one) and `pos` is the complex child's
 # argument position.
 #
-# Decision trees:
-#   (T_LEAF, fetchers, rhs_expr)       fetchers: occurrence paths building the
-#                                      callee environment, rhs compiled against
+# Decision trees are :mod:`repro.rewriting.matchtree` trees lowered for ground
+# values (same occurrences, no spine lengths):
+#   (T_LEAF, fetchers, rhs_expr)       fetchers: the leaf's occurrences in
+#                                      binding order, rhs compiled against
 #                                      exactly those slots
-#   (T_SWITCH, path, cases, default)   branch on the constructor tag at `path`
+#   (T_SWITCH, path, cases, default)   cases: {constructor: subtree}
 #   (T_FAIL,)                          no rule matches: stuck
 #
-# An occurrence path (i, j, k, ...) selects argument i of the call, then child
-# j of that value, then child k, ... — children are 0-based, offset by one in
-# the value tuples because slot 0 holds the constructor tag.
+# Child j of an occurrence is value[j + 1]: slot 0 holds the constructor tag.
 
 E_VAR, E_CON, E_CALL, E_PAPP, E_APPLY, E_LIT, E_CON1, E_CALL1 = 0, 1, 2, 3, 4, 5, 6, 7
 T_LEAF, T_SWITCH, T_FAIL = 0, 1, 2
@@ -304,16 +303,16 @@ class Evaluator:
         #: thread-safe.
         self.stream_memo: Dict[tuple, object] = {}
         self._remaining = max_calls
+        # Every arity is known before the first right-hand side compiles, so
+        # a rule may call (or partially apply) a function declared after it.
+        trees = {}
         for name, fn_rules in grouped.items():
-            arities = {len(spine(rule.lhs)[1]) for rule in fn_rules}
-            if len(arities) != 1:
-                raise CompilationError(
-                    f"{name}: rules disagree on arity ({sorted(arities)}); "
-                    "not an elaborated functional program"
-                )
-            arity = arities.pop()
-            self._fn_arity[name] = arity
-            self._trees[name] = self._compile_function(name, fn_rules, arity)
+            try:
+                self._fn_arity[name], trees[name] = compile_head(name, fn_rules, signature)
+            except MatchCompilationDeclined as declined:
+                raise CompilationError(str(declined)) from declined
+        for name, tree in trees.items():
+            self._trees[name] = self._lower(tree)
 
     @classmethod
     def for_program(cls, program) -> "Evaluator":
@@ -744,92 +743,18 @@ class Evaluator:
 
     # -- compilation: decision trees -----------------------------------------
 
-    def _compile_function(self, name: str, rules: List, arity: int) -> tuple:
-        rows = []
-        for rule in rules:
-            if not rule.is_left_linear():
-                raise CompilationError(
-                    f"{name}: rule {rule} is not left-linear; decision trees "
-                    "cannot express the implied equality test"
-                )
-            _, patterns = spine(rule.lhs)
-            columns = [((index,), pattern) for index, pattern in enumerate(patterns)]
-            rows.append((columns, {}, rule.rhs))
-        return self._compile_matrix(name, rows)
-
-    def _compile_matrix(self, fn_name: str, rows: List) -> tuple:
-        if not rows:
+    def _lower(self, node: tuple) -> tuple:
+        """A match tree without spine lengths, each leaf's right-hand side
+        compiled over the leaf's bindings in binding order."""
+        if node[0] == LEAF:
+            _, bindings, rhs = node
+            slots = {var: slot for slot, var in enumerate(bindings)}
+            return (T_LEAF, tuple(bindings.values()), self.compile(rhs, slots))
+        if node[0] == FAIL:
             return (T_FAIL,)
-        columns, bindings, rhs = rows[0]
-        split = next(
-            (i for i, (_, p) in enumerate(columns) if p is not None and not isinstance(p, Var)),
-            None,
-        )
-        if split is None:
-            # First row matches unconditionally: bind its variables and stop —
-            # later rows are unreachable here (orthogonal programs have at most
-            # one matching rule anyway).
-            leaf_bindings = dict(bindings)
-            for path, pattern in columns:
-                if pattern is not None:
-                    leaf_bindings[pattern.name] = path
-            slots = {var: slot for slot, var in enumerate(leaf_bindings)}
-            fetchers = tuple(leaf_bindings[var] for var in leaf_bindings)
-            rhs_expr = self.compile(rhs, slots)
-            return (T_LEAF, fetchers, rhs_expr)
-        path = columns[split][0]
-        constructors: List[str] = []
-        for row_columns, _, _ in rows:
-            pattern = next((p for o, p in row_columns if o == path), None)
-            if pattern is None or isinstance(pattern, Var):
-                continue
-            head, _ = spine(pattern)
-            if not isinstance(head, Sym) or not self.signature.is_constructor(head.name):
-                raise CompilationError(
-                    f"{fn_name}: pattern {pattern} is not a constructor pattern"
-                )
-            if head.name not in constructors:
-                constructors.append(head.name)
-        cases: Dict[str, tuple] = {}
-        for constructor in constructors:
-            sub_rows = []
-            for row_columns, row_bindings, row_rhs in rows:
-                new_row = self._specialise(row_columns, row_bindings, path, constructor)
-                if new_row is not None:
-                    sub_rows.append((new_row[0], new_row[1], row_rhs))
-            cases[constructor] = self._compile_matrix(fn_name, sub_rows)
-        default_rows = []
-        for row_columns, row_bindings, row_rhs in rows:
-            pattern = next((p for o, p in row_columns if o == path), None)
-            if pattern is None or isinstance(pattern, Var):
-                new_bindings = dict(row_bindings)
-                if pattern is not None:
-                    new_bindings[pattern.name] = path
-                new_columns = [(o, p) for o, p in row_columns if o != path]
-                default_rows.append((new_columns, new_bindings, row_rhs))
-        default = self._compile_matrix(fn_name, default_rows) if default_rows else None
-        return (T_SWITCH, path, cases, default)
-
-    def _specialise(self, columns, bindings, path, constructor):
-        """One row of the matrix specialised to ``constructor`` at ``path``."""
-        new_columns = []
-        new_bindings = dict(bindings)
-        for occurrence, pattern in columns:
-            if occurrence != path:
-                new_columns.append((occurrence, pattern))
-                continue
-            if pattern is None or isinstance(pattern, Var):
-                if pattern is not None:
-                    new_bindings[pattern.name] = occurrence
-                for index in range(self._con_arity[constructor]):
-                    new_columns.append((occurrence + (index,), None))
-                continue
-            head, sub_patterns = spine(pattern)
-            if head.name != constructor:
-                return None
-            for index, sub_pattern in enumerate(sub_patterns):
-                new_columns.append((occurrence + (index,), sub_pattern))
-        return new_columns, new_bindings
+        _, occurrence, cases, default = node
+        lowered = {con: self._lower(subtree) for con, (_, subtree) in cases.items()}
+        return (T_SWITCH, occurrence, lowered, None if default is None else self._lower(default))
 
     # -- compilation: expressions --------------------------------------------
 

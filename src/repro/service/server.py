@@ -152,26 +152,6 @@ class ServiceConfig:
     """Rotation threshold of the trace sink (live file plus one ``.1``)."""
 
 
-class _Latency:
-    """Streaming count/total/max of one latency population."""
-
-    __slots__ = ("count", "total", "max")
-
-    def __init__(self):
-        self.count = 0
-        self.total = 0.0
-        self.max = 0.0
-
-    def record(self, seconds: float) -> None:
-        self.count += 1
-        self.total += seconds
-        if seconds > self.max:
-            self.max = seconds
-
-    def snapshot(self) -> Dict[str, float]:
-        return {"count": self.count, "total": self.total, "max": self.max}
-
-
 class ServiceMetrics:
     """Counters of one daemon lifetime; snapshots are primitive dicts.
 
@@ -199,8 +179,6 @@ class ServiceMetrics:
         self.rejected_goals = 0
         self.prewarmed_theories = 0
         self.errors = 0
-        self.replay_latency = _Latency()
-        self.solve_latency = _Latency()
         #: Client-observed latency per *goal*, one histogram per op class
         #: (store replay / warm solve / cold solve / rejected): time from
         #: request arrival to that goal's verdict emission.
@@ -246,8 +224,6 @@ class ServiceMetrics:
                 "rejected_goals": self.rejected_goals,
                 "prewarmed_theories": self.prewarmed_theories,
                 "errors": self.errors,
-                "replay_latency": self.replay_latency.snapshot(),
-                "solve_latency": self.solve_latency.snapshot(),
                 "op_latency": {
                     cls: histogram.snapshot()
                     for cls, histogram in self.op_latency.items()
@@ -661,10 +637,6 @@ class ProofService:
             counters["served_goals"] += len(records)
             counters["rejected_goals"] += len(rejected)
             self._client_cpu[client] = self._client_cpu.get(client, 0.0) + busy
-            # Pure-replay requests answer without a single worker; their wall
-            # time is the service's hot-path latency.  Anything that dispatched
-            # is dominated by proof search and lands in the other population.
-            (self.metrics.replay_latency if spawns == 0 else self.metrics.solve_latency).record(wall)
 
         request_record["attrs"].update(
             {"goals": len(records), "rejected": len(rejected), "spawns": spawns}

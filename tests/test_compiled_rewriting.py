@@ -22,6 +22,7 @@ from repro.rewriting.rules import RewriteRule
 from repro.rewriting.trs import RewriteSystem
 from repro.search.config import ProverConfig
 from repro.search.prover import Prover
+from repro.semantics.evaluator import CompilationError, Evaluator
 
 NAT = DataTy("Nat")
 A = TypeVar("a")
@@ -146,56 +147,80 @@ class TestDeclarationOrder:
 # ---------------------------------------------------------------------------
 
 
+@pytest.fixture(params=["compiled", "evaluator"])
+def declines(request):
+    """Assert that one backend declines a head of a malformed rule set.
+
+    The compiled normaliser marks the head generic (``matcher_for`` is
+    ``None``); the ground evaluator refuses the whole system.
+    """
+
+    def check(system, head):
+        if request.param == "compiled":
+            compiled = CompiledRewriteSystem.for_system(system, current_bank())
+            assert compiled.matcher_for(head) is None
+            assert compiled.declined_heads == 1
+        else:
+            with pytest.raises(CompilationError):
+                Evaluator(system.signature, system.rules)
+
+    return check
+
+
 class TestDeclines:
     def _compiled(self, system):
         return CompiledRewriteSystem.for_system(system, current_bank())
 
-    def test_non_left_linear_rule_declines_head(self, nat_program):
+    def test_non_left_linear_rule_declines_head(self, nat_program, declines):
         system = RewriteSystem(nat_program.rules.signature)
         x = Var("x", NAT)
         system.add_rule(
             RewriteRule(apply_term(Sym("eqq"), x, x), Sym("Z")), validate=False
         )
-        compiled = self._compiled(system)
-        assert compiled.matcher_for("eqq") is None
-        assert compiled.declined_heads == 1
-        # The normaliser transparently falls back and still reduces it.
+        declines(system, "eqq")
+
+    def test_declined_head_falls_back_to_the_generic_loop(self, nat_program):
+        system = RewriteSystem(nat_program.rules.signature)
+        x = Var("x", NAT)
+        system.add_rule(
+            RewriteRule(apply_term(Sym("eqq"), x, x), Sym("Z")), validate=False
+        )
         normalizer = Normalizer(system, compile_rules=True)
         assert normalizer.normalize(apply_term(Sym("eqq"), num(2), num(2))) == Sym("Z")
         assert normalizer.fallback_steps == 1
         assert normalizer.compiled_steps == 0
         assert normalizer.head_steps == {"eqq": 1}
 
-    def test_arity_disagreement_declines_head(self, nat_program):
+    def test_arity_disagreement_declines_head(self, nat_program, declines):
         system = RewriteSystem(nat_program.rules.signature)
         x, y = Var("x", NAT), Var("y", NAT)
         system.add_rule(RewriteRule(apply_term(Sym("h"), x), x), validate=False)
         system.add_rule(RewriteRule(apply_term(Sym("h"), x, y), x), validate=False)
-        assert self._compiled(system).matcher_for("h") is None
+        declines(system, "h")
 
-    def test_defined_symbol_in_pattern_declines_head(self, nat_program):
+    def test_defined_symbol_in_pattern_declines_head(self, nat_program, declines):
         system = RewriteSystem(nat_program.rules.signature)
         x, y = Var("x", NAT), Var("y", NAT)
         lhs = apply_term(Sym("k"), apply_term(Sym("add"), x, y))
         system.add_rule(RewriteRule(lhs, x), validate=False)
-        assert self._compiled(system).matcher_for("k") is None
+        declines(system, "k")
 
-    def test_variable_headed_pattern_declines_head(self, nat_program):
+    def test_variable_headed_pattern_declines_head(self, nat_program, declines):
         system = RewriteSystem(nat_program.rules.signature)
         applied_var = App(Var("f", A), Var("y", NAT))
         system.add_rule(
             RewriteRule(apply_term(Sym("k2"), applied_var), Sym("Z")), validate=False
         )
-        assert self._compiled(system).matcher_for("k2") is None
+        declines(system, "k2")
 
-    def test_unbound_rhs_variable_declines_head(self, nat_program):
+    def test_unbound_rhs_variable_declines_head(self, nat_program, declines):
         system = RewriteSystem(nat_program.rules.signature)
         system.add_rule(
             RewriteRule(apply_term(Sym("u"), Sym("Z")), Var("x", NAT)), validate=False
         )
-        assert self._compiled(system).matcher_for("u") is None
+        declines(system, "u")
 
-    def test_constructor_at_two_arities_declines_head(self, list_program):
+    def test_constructor_at_two_arities_declines_head(self, list_program, declines):
         system = RewriteSystem(list_program.rules.signature)
         x = Var("x", NAT)
         xs = Var("xs", DataTy("List", (NAT,)))
@@ -207,7 +232,7 @@ class TestDeclines:
             RewriteRule(apply_term(Sym("p"), apply_term(Sym("Cons"), x, xs)), Sym("Z")),
             validate=False,
         )
-        assert self._compiled(system).matcher_for("p") is None
+        declines(system, "p")
 
     def test_rule_less_head_never_matches(self, nat_program):
         compiled = self._compiled(nat_program.rules)

@@ -112,6 +112,25 @@ class TestEvaluator:
         term = prelude.parse_term("map (add (S Z)) (Cons Z (Cons (S (S Z)) Nil))")
         assert render_value(evaluator.evaluate(term)) == "Cons (S Z) (Cons (S (S (S Z))) Nil)"
 
+    def test_partial_application_of_a_function_declared_later(self):
+        # `plus` is partially applied before its own rules are declared: its
+        # arity must be known when `incs` compiles, not guessed from the call.
+        program = load_program("""
+data Nat = Z | S Nat
+data List a = Nil | Cons a (List a)
+map :: (a -> b) -> List a -> List b
+map f Nil = Nil
+map f (Cons x xs) = Cons (f x) (map f xs)
+incs :: List Nat -> List Nat
+incs xs = map (plus (S Z)) xs
+plus :: Nat -> Nat -> Nat
+plus Z y = y
+plus (S x) y = S (plus x y)
+""")
+        evaluator = Evaluator(program.signature, program.rules.rules)
+        term = program.parse_term("incs (Cons Z (Cons (S Z) Nil))")
+        assert render_value(evaluator.evaluate(term)) == "Cons (S Z) (Cons (S (S Z)) Nil)"
+
     def test_deep_data_does_not_hit_the_recursion_limit(self, prelude, evaluator):
         xs = Sym("Nil")
         for _ in range(5000):

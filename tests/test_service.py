@@ -820,7 +820,7 @@ class TestServiceReport:
         assert "store hits" in table
         assert "1/2 (50%)" in table
         assert "warm-state hits" in table
-        assert "replay latency" in table
+        assert "goal latency (store replay)" in table
         assert "worker pool size" in table
         assert "interleaved dispatches" in table
         assert "goals rejected (client budget)" in table
