@@ -16,6 +16,19 @@ provable alone.  This benchmark measures both.
   must be at least 10x faster even when both confidence intervals conspire
   against the claim.  The warm path must also spawn exactly zero workers.
 
+* **Resident pool vs. one private pool per request.**  Four client threads
+  ask for the same cold goals at once.  The candidate is one memoryless
+  service whose resident one-worker pool serves every request as its own
+  session, so the worker spawns once and keeps the elaborated theory.  The
+  baseline is the batch API: each client takes one lock and calls
+  :func:`~repro.harness.runner.run_suite_parallel` with one job and a
+  :class:`~repro.service.resolver.SourceResolver`, so every request spawns a
+  private worker that elaborates the theory from source, one request at a
+  time.  The resolver matters: the default registry resolver would inherit
+  the parent's elaborated theory through the fork and hide the elaboration
+  a fresh worker pays.  The aggregate-throughput ratio must be at least 2x
+  at its 95% CI lower bound, and the resident pool must spawn exactly once.
+
 * **Library ablation (reported, not asserted).** ``prop_54`` of the
   IsaPlanner suite needs ``add a b ≈ add b a`` as a lemma at small budgets.
   With the library seeded by proving that conjecture first, the assisted
@@ -33,13 +46,17 @@ from __future__ import annotations
 import shutil
 import tempfile
 import threading
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from conftest import print_report  # shared benchmark helpers
 from stats import Sample, format_sample, measure_paired
 
+from repro.benchmarks_data.registry import SUITE_PROGRAM_SOURCES
+from repro.harness import run_suite_parallel
 from repro.proofs.certificate import canonical_json
+from repro.search import ProverConfig
 from repro.service import ProofService, ServiceConfig
+from repro.service.resolver import SourceResolver
 
 #: Quick-but-not-trivial IsaPlanner goals: enough work that the cold path is
 #: dominated by real solving, small enough that interleaved repeats stay fast.
@@ -60,8 +77,8 @@ WARMUP = 1
 
 #: Concurrent-clients slice: this many threads each submit the pinned goals
 #: at once.  Small enough that a run stays in seconds, large enough that the
-#: serialized baseline's per-request worker spawn and in-worker theory
-#: elaboration stack up four deep.
+#: baseline's per-request worker spawn and in-worker theory elaboration stack
+#: up four deep.
 CONCURRENT_CLIENTS = 4
 CONCURRENT_REPEATS = 5
 
@@ -138,22 +155,24 @@ def run_warm_vs_cold() -> Dict[str, object]:
         shutil.rmtree(scratch, ignore_errors=True)
 
 
-def _submit_from_clients(service: ProofService, clients: int) -> List[int]:
-    """``clients`` threads each submit the pinned goals; returns per-request
-    worker-spawn counts.  Any thread's failure re-raises in the caller."""
+def _from_clients(clients: int, request: Callable[[str], Tuple[int, int]]) -> List[int]:
+    """``clients`` threads each call ``request(name)`` at once.
+
+    ``request`` solves the pinned goals and returns ``(proved, worker
+    spawns)``; this returns the spawn counts.  Any thread's failure re-raises
+    in the caller.
+    """
     spawns: List[int] = []
     errors: List[BaseException] = []
     lock = threading.Lock()
 
     def one(name: str) -> None:
         try:
-            done, _ = _submit(
-                service, suite="isaplanner", goals=list(GOALS), client=name
-            )
-            if done["proved"] != len(GOALS):
-                raise AssertionError(f"client {name} regressed: {done}")
+            proved, spawned = request(name)
+            if proved != len(GOALS):
+                raise AssertionError(f"client {name} proved {proved} of {len(GOALS)}")
             with lock:
-                spawns.append(int(done["worker_spawns"]))
+                spawns.append(spawned)
         except BaseException as error:  # noqa: BLE001 - surfaced to the caller
             with lock:
                 errors.append(error)
@@ -171,43 +190,53 @@ def _submit_from_clients(service: ProofService, clients: int) -> List[int]:
     return spawns
 
 
-def run_concurrent_vs_serialized() -> Dict[str, object]:
-    """Aggregate cold-solve throughput: 4 concurrent clients, pool vs lock.
+def run_concurrent_vs_private_pools() -> Dict[str, object]:
+    """Aggregate cold-solve throughput: 4 concurrent clients, resident vs. private.
 
-    Both arms are resident services with *no store* — every submission is a
-    genuine cold solve.  The baseline is the pre-pool request path
-    (``serialize_submits=True``: one submit at a time, a fresh scheduler and
-    worker process per request); the candidate is the shared resident pool,
-    where concurrent sessions interleave on warm workers that keep their
-    elaborated theories.  Paired wall-clock per "all four clients answered"
-    round; the assertion fires on the ratio's 95% CI lower bound.
+    Neither arm has a store, so every request is a genuine cold solve.  The
+    baseline gives each request its own one-worker pool, one request at a
+    time (a lock), with the theory elaborated from source inside the worker;
+    the candidate is the service's shared resident pool, where concurrent
+    sessions interleave on a warm worker that keeps its elaborated theory.
+    Paired wall-clock per "all four clients answered" round; the assertion
+    fires on the ratio's 95% CI lower bound.
     """
-    serialized = ProofService(
-        ServiceConfig(timeout=TIMEOUT, jobs=1, serialize_submits=True)
-    )
+    resolver = SourceResolver(SUITE_PROGRAM_SOURCES["isaplanner"], "isaplanner", [])
+    problems = [problem for problem in resolver() if problem.name in GOALS]
+    # The service's own per-request configuration (certificates always on).
+    config = ProverConfig(timeout=TIMEOUT, emit_proofs=True)
+    one_at_a_time = threading.Lock()
     concurrent = ProofService(ServiceConfig(timeout=TIMEOUT, jobs=1))
     concurrent_spawns: List[int] = []
     try:
+        def solve_privately(name: str) -> Tuple[int, int]:
+            with one_at_a_time:
+                result = run_suite_parallel(problems, config, jobs=1, resolver=resolver)
+            return len(result.solved), result.engine.worker_spawns
+
+        def submit(name: str) -> Tuple[int, int]:
+            done, _ = _submit(
+                concurrent, suite="isaplanner", goals=list(GOALS), client=name
+            )
+            return done["proved"], int(done["worker_spawns"])
+
         def baseline() -> None:
-            _submit_from_clients(serialized, CONCURRENT_CLIENTS)
+            _from_clients(CONCURRENT_CLIENTS, solve_privately)
 
         def candidate() -> None:
-            concurrent_spawns.extend(
-                _submit_from_clients(concurrent, CONCURRENT_CLIENTS)
-            )
+            concurrent_spawns.extend(_from_clients(CONCURRENT_CLIENTS, submit))
 
-        serialized_sample, concurrent_sample, ratio_sample = measure_paired(
+        private_sample, concurrent_sample, ratio_sample = measure_paired(
             baseline, candidate, repeats=CONCURRENT_REPEATS, warmup=WARMUP
         )
         return {
-            "serialized": serialized_sample,
+            "private": private_sample,
             "concurrent": concurrent_sample,
             "ratio": ratio_sample,
             "spawns": tuple(concurrent_spawns),
             "pool": concurrent.pool.snapshot(),
         }
     finally:
-        serialized.close()
         concurrent.close()
 
 
@@ -409,16 +438,16 @@ def _warm_vs_cold_table(report: Dict[str, object]) -> str:
 
 
 def _concurrent_table(report: Dict[str, object]) -> str:
-    serialized, concurrent, ratio = (
-        report["serialized"], report["concurrent"], report["ratio"],
+    private, concurrent, ratio = (
+        report["private"], report["concurrent"], report["ratio"],
     )
     pool = report["pool"]
     lines = [
         f"{CONCURRENT_CLIENTS} clients x {len(GOALS)} cold goals each, "
         f"1 pooled worker, no store",
-        f"serialized (lock + per-request workers): {format_sample(serialized)}",
-        f"concurrent (shared resident pool):       {format_sample(concurrent)}",
-        f"aggregate throughput ratio per pair:     mean {ratio.mean:.1f}x,"
+        f"private (lock + one pool per request): {format_sample(private)}",
+        f"concurrent (shared resident pool):     {format_sample(concurrent)}",
+        f"aggregate throughput ratio per pair:   mean {ratio.mean:.1f}x,"
         f" 95% CI lower {ratio.ci_low:.1f}x",
         f"pool spawns across all runs: {sum(report['spawns'])}"
         f" ({len(report['spawns'])} requests), interleaved dispatches:"
@@ -480,7 +509,7 @@ def _warm_report() -> Dict[str, object]:
 def _concurrent_report() -> Dict[str, object]:
     global _CONCURRENT_REPORT
     if _CONCURRENT_REPORT is None:
-        _CONCURRENT_REPORT = run_concurrent_vs_serialized()
+        _CONCURRENT_REPORT = run_concurrent_vs_private_pools()
     return _CONCURRENT_REPORT
 
 
@@ -500,15 +529,15 @@ def test_warm_replay_at_least_10x_faster_ci_lower_bound():
     )
 
 
-def test_concurrent_clients_at_least_2x_serialized_ci_lower_bound():
+def test_concurrent_clients_at_least_2x_private_pools_ci_lower_bound():
     report = _concurrent_report()
     print_report(
-        "4 concurrent clients vs serialized submits", _concurrent_table(report)
+        "4 concurrent clients vs one private pool per request", _concurrent_table(report)
     )
     ratio = report["ratio"]
     assert ratio.ci_low >= 2.0, (
-        f"concurrent aggregate throughput not robustly >= 2x the serialized"
-        f" path: mean {ratio.mean:.1f}x, 95% CI lower bound {ratio.ci_low:.1f}x"
+        f"concurrent aggregate throughput not robustly >= 2x one private pool"
+        f" per request: mean {ratio.mean:.1f}x, 95% CI lower bound {ratio.ci_low:.1f}x"
     )
 
 
@@ -562,7 +591,7 @@ if __name__ == "__main__":
     report = _warm_report()
     print_report("warm daemon vs cold one-shot", _warm_vs_cold_table(report))
     print_report(
-        "4 concurrent clients vs serialized submits",
+        "4 concurrent clients vs one private pool per request",
         _concurrent_table(_concurrent_report()),
     )
     print_report(

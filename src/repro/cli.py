@@ -261,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="theories kept resident (elaborated program, compiled "
                             "rewrites, evaluator); LRU beyond N (default: 8)")
     serve.add_argument("--jobs", type=int, default=None,
-                       help="worker processes per dispatch (default: CPU count)")
+                       help="resident worker processes (default: CPU count)")
     serve.add_argument("--timeout", type=float, default=None,
                        help="default per-goal budget in seconds (requests may override)")
     serve.add_argument("--hint-limit", type=int, default=8, metavar="N",
@@ -270,8 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="enrich the library in the background when a new theory arrives")
     serve.add_argument("--prewarm", action="store_true",
                        help="rebuild warm state for every theory seen in the store/library at startup")
-    serve.add_argument("--serialize-submits", action="store_true",
-                       help="serialise submits on a lock with per-request workers (pre-pool behaviour)")
     serve.add_argument("--client-max-inflight", type=int, default=0, metavar="N",
                        help="max unsolved goals one client may have queued/running (0 = unlimited)")
     serve.add_argument("--client-cpu-budget", type=float, default=0.0, metavar="S",
@@ -1187,7 +1185,6 @@ def _serve_command(args) -> int:
             explore=args.explore,
             shutdown_grace=args.shutdown_grace,
             prewarm=args.prewarm,
-            serialize_submits=args.serialize_submits,
             client_max_inflight=args.client_max_inflight,
             client_cpu_budget=args.client_cpu_budget,
             trace_path=args.trace,

@@ -2,10 +2,11 @@
 
 The engine turns the fast single-attempt core into suite-level throughput:
 
-* :class:`Scheduler` (:mod:`repro.engine.scheduler`) shards goals across a
-  private :class:`~repro.engine.scheduler.WorkerPool` (the proof service's
-  engine) with per-goal deadlines, hard kills for hung workers, and crash
-  isolation — a worker dying on one goal never loses the batch.
+* :class:`~repro.engine.scheduler.WorkerPool` shards goals across
+  worker processes with per-goal deadlines, hard kills for hung workers, and
+  crash isolation — a worker dying on one goal never loses the batch.  Each
+  run is one :class:`~repro.engine.scheduler.PoolSession`: on the proof
+  service's resident pool, or on a private pool opened for one batch.
 * :class:`PortfolioVariant` / :func:`default_portfolio` / :func:`strategy_race`
   (:mod:`repro.engine.portfolio`) race several prover configurations — or
   several *search strategies* under one configuration — per goal and keep the
@@ -30,12 +31,12 @@ from .portfolio import (
     single_variant,
     strategy_race,
 )
-from .scheduler import DEFAULT_RESOLVER, Scheduler, Task, load_spec, solve_task
+from .scheduler import DEFAULT_RESOLVER, Task, load_spec, solve_task
 from .store import STORE_SCHEMA_VERSION, ResultStore, config_fingerprint
 from .suite import solve_suite
 
 __all__ = [
-    "Scheduler", "Task", "solve_task", "load_spec", "DEFAULT_RESOLVER",
+    "Task", "solve_task", "load_spec", "DEFAULT_RESOLVER",
     "PortfolioVariant", "default_portfolio", "strategy_race", "disprove_race",
     "single_variant", "select_winner", "PORTFOLIO_PRESETS",
     "ResultStore", "config_fingerprint", "STORE_SCHEMA_VERSION",

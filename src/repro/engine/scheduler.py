@@ -2,9 +2,10 @@
 
 The paper's evaluation is embarrassingly parallel — every goal is attempted
 independently under a wall-clock budget — so the engine's job is purely
-throughput and robustness.  There is one engine, :class:`WorkerPool`: the
-proof service keeps one resident, and a batch :class:`Scheduler` run is one
-session on a private pool sized to the batch.
+throughput and robustness.  There is one engine, :class:`WorkerPool`, and
+every run is one :class:`PoolSession` on it: the proof service keeps one pool
+resident, and a batch (:func:`repro.engine.suite.solve_suite`) opens a private
+pool sized to the batch.
 
 * **Sharding.**  Each worker process holds one task at a time; the parent
   dispatches demand-driven (a task leaves its session's queue only when a
@@ -51,7 +52,6 @@ from ..search.phases import phase_intervals
 
 __all__ = [
     "Task",
-    "Scheduler",
     "WorkerPool",
     "PoolSession",
     "DEFAULT_RESOLVER",
@@ -90,7 +90,7 @@ class Task:
     """One unit of work: attempt one goal under one configuration."""
 
     uid: int
-    """Unique id of the task within one scheduler run."""
+    """Unique id of the task within one session run."""
 
     index: int
     """Position of the goal in the input problem sequence."""
@@ -110,7 +110,7 @@ class Task:
     program: str = ""
     """Fingerprint of the program the caller expects the resolver to rebuild.
 
-    Empty disables the check (direct scheduler users without a program in
+    Empty disables the check (direct pool users without a program in
     hand); when set, a worker whose resolver produced a *different* program
     for ``suite/name`` fails the task instead of silently solving — and
     persisting — an outcome for the wrong program.
@@ -159,7 +159,8 @@ def solve_task(problem, task: dict, hook: Optional[Callable] = None) -> dict:
     Used by the worker loop, and directly by the serial fallback paths (it is
     deliberately free of any multiprocessing machinery).
     """
-    from ..search.prover import Prover  # deferred: keep worker import cost low
+    from ..harness.runner import attempt_status  # deferred: keep worker import cost low
+    from ..search.prover import Prover
 
     if problem is None:
         return {
@@ -198,16 +199,7 @@ def solve_task(problem, task: dict, hook: Optional[Callable] = None) -> dict:
         )
     elapsed = time.perf_counter() - started
     stats = outcome.statistics
-    if outcome.proved:
-        status = "proved"
-    elif outcome.disproved:
-        status = "disproved"
-    elif problem.goal.is_conditional:
-        status = "out-of-scope"
-    elif stats.timed_out:
-        status = "timeout"
-    else:
-        status = "failed"
+    status = attempt_status(outcome, problem.goal.is_conditional)
     wire = {
         "status": status,
         "seconds": elapsed,
@@ -573,9 +565,9 @@ class _PoolTask:
 class PoolSession:
     """One request's window onto a shared :class:`WorkerPool`.
 
-    Presents the same run interface as :class:`Scheduler` (``run``,
-    ``worker_stats``, ``wall_seconds``), so :func:`repro.engine.suite.solve_suite`
-    drives a shared pool unchanged.  Everything is scoped to the session:
+    :func:`repro.engine.suite.solve_suite` drives it through ``run`` and
+    reports its ``worker_stats``, ``worker_spawns`` and ``wall_seconds``,
+    whether the pool is shared or private.  Everything is scoped to the session:
     ``cancel`` from this session's ``on_result`` withholds only this session's
     tasks, ``worker_stats`` reports only work done for this session, and
     ``worker_spawns`` counts only processes whose creation this session
@@ -725,8 +717,8 @@ class WorkerPool:
     until something happens.  Workers cache elaborated theories across tasks
     (:func:`_pool_worker_main`), which is the latency win of a resident pool:
     a known theory is served with zero spawns and zero re-elaboration.
-    ``resolver`` is the theory of sessions that name none (a batch
-    :class:`Scheduler`'s private pool); it travels to the workers at spawn.
+    ``resolver`` is the theory of sessions that name none (a batch's private
+    pool); it travels to the workers at spawn.
 
     Concurrency contract: ``_lock`` guards session registration, per-session
     queues/counters, the fairness ring and the slot list; slot state is touched
@@ -1180,126 +1172,3 @@ class WorkerPool:
         self._deliver(leftovers)
         for session in sessions:
             session._done.set()
-
-
-# ---------------------------------------------------------------------------
-# Batch runs
-# ---------------------------------------------------------------------------
-
-
-class Scheduler:
-    """Run batches of tasks, each on a private :class:`WorkerPool`.
-
-    ``jobs``
-        Most workers per run; defaults to the CPU count.
-    ``resolver``
-        How workers obtain their problems (:data:`Spec` returning an iterable
-        of :class:`~repro.benchmarks_data.registry.BenchmarkProblem`).
-    ``worker_hook``
-        Optional :data:`Spec` invoked on every task inside the worker before
-        solving — the crash-injection seam used by the tests.
-    ``hard_kill_grace``
-        Extra seconds past a task's in-process timeout before the parent
-        terminates a (presumably hung) worker.
-    ``start_method``
-        ``multiprocessing`` start method; defaults to ``fork`` when available
-        (cheap on Linux — workers inherit already-imported modules) and the
-        platform default otherwise.
-
-    Each :meth:`run` is one :class:`PoolSession` on a fresh pool of
-    ``min(jobs, len(tasks))`` workers, closed when the run returns, so a batch
-    gets the service's engine — its dispatch, crash, deadline and drain
-    policy — without sharing its workers.
-    """
-
-    def __init__(
-        self,
-        jobs: Optional[int] = None,
-        resolver: Spec = DEFAULT_RESOLVER,
-        worker_hook: Optional[Spec] = None,
-        hard_kill_grace: float = 5.0,
-        start_method: Optional[str] = None,
-        tracer=None,
-    ):
-        self.jobs = max(1, int(jobs) if jobs else (os.cpu_count() or 1))
-        self.resolver = resolver
-        self.worker_hook = worker_hook
-        self.hard_kill_grace = max(0.5, float(hard_kill_grace))
-        self.start_method = start_method
-        #: Where queue/dispatch spans of traced tasks go; the proof service
-        #: injects its own per-daemon tracer, everyone else gets the ring.
-        self.tracer = tracer if tracer is not None else get_tracer()
-        #: per-slot utilisation of the last run: {slot: {"tasks", "busy_seconds", "respawns"}}
-        self.worker_stats: Dict[int, Dict[str, float]] = {}
-        #: worker processes the last run started (its pool plus respawns)
-        self.worker_spawns = 0
-        #: wall-clock duration of the last run
-        self.wall_seconds = 0.0
-        self._shutdown = False
-        self._shutdown_grace = 0.0
-        self._pool: Optional[WorkerPool] = None
-
-    def request_shutdown(self, grace: Optional[float] = None) -> None:
-        """Ask the running batch to drain: finish what is in flight, start nothing new.
-
-        Safe to call from another thread (the daemon's signal handler) while
-        :meth:`run` executes; forwards to the run's pool, see
-        :meth:`WorkerPool.request_shutdown`.  The flag is sticky: every later
-        :meth:`run` on this scheduler drains too, which is what a tearing-down
-        daemon wants.
-        """
-        self._shutdown_grace = self.hard_kill_grace if grace is None else max(0.0, float(grace))
-        self._shutdown = True
-        pool = self._pool
-        if pool is not None:
-            pool.request_shutdown(self._shutdown_grace)
-
-    @property
-    def shutting_down(self) -> bool:
-        return self._shutdown
-
-    def run(
-        self,
-        tasks: Iterable[Union[Task, dict]],
-        on_result: Optional[Callable[[dict, dict, Callable[[Iterable[int]], None]], None]] = None,
-    ) -> Dict[int, dict]:
-        """Execute every task; returns ``{uid: outcome dict}``.
-
-        Outcomes gain a ``"worker"`` key (the slot that solved them, ``-1``
-        for tasks cancelled before dispatch).  ``on_result(task, outcome,
-        cancel)`` is invoked in completion order; calling ``cancel(uids)``
-        marks still-pending tasks as :data:`STATUS_CANCELLED` without
-        dispatching them (in-flight tasks run to completion — their outcome is
-        still reported, the caller decides whether to use it).
-        """
-        started_run = time.monotonic()
-        wire: List[dict] = [t.to_wire() if isinstance(t, Task) else dict(t) for t in tasks]
-        results: Dict[int, dict] = {}
-        self.worker_stats = {}
-        self.worker_spawns = 0
-        if wire:
-            size = min(self.jobs, len(wire))
-            pool = WorkerPool(
-                jobs=size,
-                worker_hook=self.worker_hook,
-                hard_kill_grace=self.hard_kill_grace,
-                start_method=self.start_method,
-                tracer=self.tracer,
-                resolver=self.resolver,
-            )
-            session = pool.session(None)
-            self._pool = pool
-            if self._shutdown:
-                pool.request_shutdown(self._shutdown_grace)
-            try:
-                results = session.run(wire, on_result)
-            finally:
-                self._pool = None
-                pool.close()
-                idle = {"tasks": 0, "busy_seconds": 0.0, "respawns": 0}
-                self.worker_stats = {
-                    slot: session.worker_stats.get(slot, dict(idle)) for slot in range(size)
-                }
-                self.worker_spawns = session.worker_spawns
-        self.wall_seconds = time.monotonic() - started_run
-        return results

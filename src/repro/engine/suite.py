@@ -1,15 +1,16 @@
-"""Suite orchestration: problems × portfolio → scheduler → :class:`SuiteResult`.
+"""Suite orchestration: problems × portfolio → worker pool → :class:`SuiteResult`.
 
 This is the layer behind :func:`repro.harness.runner.run_suite_parallel` and
 the ``python -m repro bench`` CLI.  It expands every (unconditional) goal into
 one task per portfolio variant, replays anything the persistent store already
-knows, races the rest on the multiprocess scheduler, and reassembles a
-:class:`~repro.harness.runner.SuiteResult` whose records sit in *input order*
-with the same statuses the serial runner would produce.
+knows, races the rest as one session on a multiprocess worker pool, and
+reassembles a :class:`~repro.harness.runner.SuiteResult` whose records sit in
+*input order* with the same statuses the serial runner would produce.
 """
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import asdict
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
@@ -18,7 +19,7 @@ from ..benchmarks_data.registry import BenchmarkProblem
 from ..harness.runner import SolveRecord, SuiteResult
 from ..search.config import ProverConfig
 from .portfolio import PortfolioVariant, select_winner, single_variant
-from .scheduler import DEFAULT_RESOLVER, STATUS_CANCELLED, Scheduler, Spec, Task
+from .scheduler import DEFAULT_RESOLVER, STATUS_CANCELLED, PoolSession, Spec, Task, WorkerPool
 from .store import ResultStore, config_fingerprint
 
 __all__ = ["solve_suite", "goal_store_equation"]
@@ -97,7 +98,7 @@ def solve_suite(
     worker_hook: Optional[Spec] = None,
     hard_kill_grace: float = 5.0,
     start_method: Optional[str] = None,
-    scheduler: Optional[Scheduler] = None,
+    session: Optional[PoolSession] = None,
     trace: str = "",
     trace_parent: str = "",
 ) -> SuiteResult:
@@ -109,9 +110,15 @@ def solve_suite(
     are re-parsed inside the worker.
 
     Conditional goals never reach a worker: they are recorded as
-    ``out-of-scope`` exactly as in the serial runner.  The scheduler used is
-    returned on the result as ``result.engine`` (worker utilisation and wall
-    time for the report layer).
+    ``out-of-scope`` exactly as in the serial runner.
+
+    ``session`` runs the tasks on a caller's pool (the proof service's
+    resident one); without it the tasks run as one session on a private
+    :class:`WorkerPool` of ``min(jobs, tasks)`` workers built from
+    ``resolver``, ``worker_hook``, ``hard_kill_grace`` and ``start_method``,
+    closed before this returns.  The session is returned on the result as
+    ``result.engine`` (worker utilisation, spawns and wall time for the
+    report layer); a private pool's idle workers get zero rows there.
 
     ``trace``/``trace_parent`` stamp every dispatched task with the service
     request's trace id and request-span id, so queue, dispatch and worker
@@ -249,14 +256,6 @@ def solve_suite(
 
     # -- phase 2: race the remaining tasks --------------------------------------
 
-    engine = scheduler or Scheduler(
-        jobs=jobs,
-        resolver=resolver or DEFAULT_RESOLVER,
-        worker_hook=worker_hook,
-        hard_kill_grace=hard_kill_grace,
-        start_method=start_method,
-    )
-
     def on_result(task: dict, outcome: dict, cancel: Callable) -> None:
         state = uid_to_state[task["uid"]]
         variant = state.uid_to_variant[task["uid"]]
@@ -283,8 +282,28 @@ def solve_suite(
             if siblings:
                 cancel(siblings)
 
-    if tasks:
-        engine.run(tasks, on_result=on_result)
+    pool: Optional[WorkerPool] = None
+    if session is None:
+        pool = WorkerPool(
+            min(jobs or os.cpu_count() or 1, len(tasks)),
+            resolver=resolver or DEFAULT_RESOLVER,
+            worker_hook=worker_hook,
+            hard_kill_grace=hard_kill_grace,
+            start_method=start_method,
+        )
+        session = pool.session(None)
+    try:
+        if tasks:
+            session.run(tasks, on_result=on_result)
+    finally:
+        if pool is not None:
+            pool.close()
+            if tasks:
+                idle = {"tasks": 0, "busy_seconds": 0.0, "respawns": 0}
+                session.worker_stats = {
+                    slot: session.worker_stats.get(slot, dict(idle))
+                    for slot in range(pool.jobs)
+                }
 
     # -- phase 3: settle goals no variant proved --------------------------------
 
@@ -294,6 +313,6 @@ def solve_suite(
             decide(state, winner, outcome)
 
     result.records.extend(r for r in records if r is not None)
-    result.engine = engine  # worker utilisation / wall time, for the report layer
+    result.engine = session  # worker utilisation / wall time, for the report layer
     result.store = store
     return result

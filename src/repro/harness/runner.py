@@ -20,7 +20,10 @@ from ..search.config import ProverConfig
 from ..search.prover import Prover
 from ..search.result import ProofResult
 
-__all__ = ["SolveRecord", "SuiteResult", "run_suite", "run_suite_parallel", "cumulative_curve"]
+__all__ = [
+    "SolveRecord", "SuiteResult", "attempt_status", "run_suite", "run_suite_parallel",
+    "cumulative_curve",
+]
 
 
 @dataclass
@@ -203,6 +206,23 @@ class SuiteResult:
         }
 
 
+def attempt_status(outcome: ProofResult, conditional: bool) -> str:
+    """The record status of one finished attempt (shared by every runner).
+
+    A conditional goal reaches the prover only for the falsifier, so short of
+    a refutation it stays ``out-of-scope``.
+    """
+    if outcome.proved:
+        return "proved"
+    if outcome.disproved:
+        return "disproved"
+    if conditional:
+        return "out-of-scope"
+    if outcome.statistics.timed_out:
+        return "timeout"
+    return "failed"
+
+
 def run_suite(
     problems: Sequence[BenchmarkProblem],
     config: Optional[ProverConfig] = None,
@@ -248,20 +268,10 @@ def run_suite(
                     problem.goal.equation, goal_name=problem.name, hypotheses=hints
                 )
             elapsed = time.perf_counter() - started
-            if outcome.proved:
-                status = "proved"
-            elif outcome.disproved:
-                status = "disproved"
-            elif problem.goal.is_conditional:
-                status = "out-of-scope"
-            elif outcome.statistics.timed_out:
-                status = "timeout"
-            else:
-                status = "failed"
             record = SolveRecord(
                 name=problem.name,
                 suite=problem.suite,
-                status=status,
+                status=attempt_status(outcome, problem.goal.is_conditional),
                 seconds=elapsed,
                 nodes=outcome.statistics.nodes_created,
                 subst_attempts=outcome.statistics.subst_attempts,

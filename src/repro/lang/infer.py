@@ -176,7 +176,15 @@ class TypeInference:
             fun_type = self.infer_expr(expr.fun, env)
             arg_type = self.infer_expr(expr.arg, env)
             result = self.fresh("r")
-            self.unify(fun_type, FunTy(arg_type, result), context=f"application {expr!r}")
+            expected = FunTy(arg_type, result)
+            try:
+                unify_types(fun_type, expected, self.subst)
+            except UnificationError as exc:
+                # Rendered only on failure: ``repr`` of every application is
+                # a visible share of a program load.
+                raise TypeCheckError(
+                    f"application {expr!r}: cannot unify {fun_type} with {expected}: {exc}"
+                ) from exc
             return result
         raise ElaborationError(f"unsupported expression {expr!r}")
 

@@ -30,8 +30,8 @@ socket (nor, inside the daemon, a process or request boundary).
 Per goal the service tries, in order: a decisive *hintless* store entry
 (replayed parent-side, spawning no worker); certificate-verified library
 lemmas offered as hints (the hinted attempt has its own store identity, so a
-hinted replay is equally worker-free); a fresh dispatch to the multiprocess
-scheduler.  Hint-free proofs that come back with certificates are fed to the
+hinted replay is equally worker-free); a fresh dispatch to the resident
+worker pool.  Hint-free proofs that come back with certificates are fed to the
 library, so each theory's lemma pool grows as it is exercised.
 """
 
@@ -48,7 +48,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..engine.scheduler import STATUS_REJECTED, Scheduler, WorkerPool
+from ..engine.scheduler import STATUS_REJECTED, WorkerPool
 from ..engine.store import ResultStore, StoreLockError, config_fingerprint
 from ..engine.suite import goal_store_equation, solve_suite
 from ..obs.histogram import OP_CLASSES, LatencyHistogram
@@ -109,7 +109,7 @@ class ServiceConfig:
     """How many theories' warm state stays resident (LRU beyond that)."""
 
     jobs: Optional[int] = None
-    """Worker pool size per dispatch (default: CPU count)."""
+    """Size of the resident worker pool (default: CPU count)."""
 
     timeout: Optional[float] = None
     """Default per-goal budget in seconds (requests may override)."""
@@ -128,15 +128,6 @@ class ServiceConfig:
 
     prewarm: bool = False
     """Rebuild warm state at startup for every theory the store/library knows."""
-
-    serialize_submits: bool = False
-    """Run one submit at a time on a per-request scheduler (the pre-pool path).
-
-    The escape hatch — and the paired-benchmark baseline — for the shared
-    worker pool: requests serialise on a lock and each builds its own
-    :class:`~repro.engine.scheduler.Scheduler`, whose private pool spawns
-    its workers per request, as before the concurrent request core existed.
-    """
 
     client_max_inflight: int = 0
     """Most un-replayable goals one client may have queued/solving (0 = no cap)."""
@@ -273,14 +264,12 @@ def _suite_source(suite: str) -> str:
 class ProofService:
     """The synchronous service core (the socket layer is optional dressing).
 
-    Concurrent submits by default: each request joins the shared resident
+    Submits run concurrently: each request joins the shared resident
     :class:`~repro.engine.scheduler.WorkerPool` as its own session, so two
     clients' goals interleave fairly (deficit-round-robin) instead of the
     second client waiting out the first client's whole batch — and a warm
     pool serves cold solves without spawning a process per request.
-    ``serialize_submits`` restores the old one-at-a-time behaviour (per
-    request scheduler, submit guard) as an escape hatch and benchmark
-    baseline.  ``ping`` and ``metrics`` never wait on either path.
+    ``ping`` and ``metrics`` never wait on a submit.
     """
 
     def __init__(self, config: Optional[ServiceConfig] = None):
@@ -306,8 +295,6 @@ class ProofService:
             worker_hook=self.config.worker_hook,
             tracer=self.tracer,
         )
-        self._submit_guard = threading.Lock()  # serialize_submits mode only
-        self._active_scheduler: Optional[Scheduler] = None
         self._closing = False
         self._closed = False
         self._enriched: set = set()
@@ -370,7 +357,7 @@ class ProofService:
         return self.metrics.snapshot(
             warm=self.cache.snapshot(),
             library=self.library.snapshot() if self.library else None,
-            pool=None if self.config.serialize_submits else self.pool.snapshot(),
+            pool=self.pool.snapshot(),
         )
 
     # -- prewarming ---------------------------------------------------------------
@@ -433,9 +420,6 @@ class ProofService:
                 raise ServiceError("service is shutting down")
             self._active_submits += 1
         try:
-            if self.config.serialize_submits:
-                with self._submit_guard:
-                    return self._submit(request, emit, trace=trace)
             return self._submit(request, emit, trace=trace)
         finally:
             with self._lifecycle:
@@ -541,21 +525,10 @@ class ProofService:
         with state.guard:
             hypotheses, offered = self._plan_hints(state, problems, prover_config, request)
 
-        # The resolver rides on the engine (solve_suite's own resolver
-        # argument only applies to schedulers it constructs itself): the
-        # workers re-elaborate — or, on the pool, reuse a cached elaboration
-        # of — the submitted source in their own banks.
-        resolver = SourceResolver(source, suite, conjectures)
-        if self.config.serialize_submits:
-            engine = Scheduler(
-                jobs=self.config.jobs,
-                resolver=resolver,
-                worker_hook=self.config.worker_hook,
-                tracer=self.tracer,
-            )
-            self._active_scheduler = engine
-        else:
-            engine = self.pool.session(resolver, client=client)
+        # The resolver rides on the session: the workers re-elaborate — or
+        # reuse a cached elaboration of — the submitted source in their own
+        # banks.
+        session = self.pool.session(SourceResolver(source, suite, conjectures), client=client)
         verdicts: List[dict] = []
 
         def op_class_of(record) -> str:
@@ -582,27 +555,21 @@ class ProofService:
                 emit_start,
             )
 
-        try:
-            if problems:
-                result = solve_suite(
-                    problems,
-                    prover_config,
-                    suite_name=suite,
-                    hypotheses=hypotheses,
-                    progress=progress,
-                    jobs=self.config.jobs,
-                    store=self.store,
-                    resolver=resolver,
-                    scheduler=engine,
-                    trace=trace,
-                    trace_parent=request_span,
-                )
-                records = result.records
-            else:
-                records = []  # every goal was rejected before dispatch
-        finally:
-            if self.config.serialize_submits:
-                self._active_scheduler = None
+        if problems:
+            result = solve_suite(
+                problems,
+                prover_config,
+                suite_name=suite,
+                hypotheses=hypotheses,
+                progress=progress,
+                store=self.store,
+                session=session,
+                trace=trace,
+                trace_parent=request_span,
+            )
+            records = result.records
+        else:
+            records = []  # every goal was rejected before dispatch
 
         if records:
             with state.guard:
@@ -611,9 +578,9 @@ class ProofService:
             learned = 0
         self._maybe_enrich(source, suite, state.fingerprint)
 
-        spawns = engine.worker_spawns
+        spawns = session.worker_spawns
         busy = sum(
-            float(stats.get("busy_seconds") or 0.0) for stats in engine.worker_stats.values()
+            float(stats.get("busy_seconds") or 0.0) for stats in session.worker_stats.values()
         )
         replayed = sum(1 for record in records if record.cached)
         dispatched = sum(
@@ -767,7 +734,7 @@ class ProofService:
         config_fp = config_fingerprint(prover_config)
         with self.metrics.lock:
             cpu_used = self._client_cpu.get(client, 0.0)
-        inflight = 0 if self.config.serialize_submits else self.pool.client_load(client)
+        inflight = self.pool.client_load(client)
         headroom = max_inflight - inflight if max_inflight > 0 else None
         admitted: list = []
         rejected: List[dict] = []
@@ -961,22 +928,17 @@ class ProofService:
         Thread-safe and idempotent — this is what the daemon's SIGTERM/SIGINT
         handler calls while submits may be running in executor threads.  The
         shared pool fails all queued goals fast and bounds on-worker goals by
-        ``grace``, and a serialized-mode scheduler (if one is mid-run) does
-        the same on its private pool.
+        ``grace``.
         """
         self._closing = True
-        grace_seconds = self.config.shutdown_grace if grace is None else grace
-        scheduler = self._active_scheduler
-        if scheduler is not None:
-            scheduler.request_shutdown(grace_seconds)
-        self.pool.request_shutdown(grace_seconds)
+        self.pool.request_shutdown(self.config.shutdown_grace if grace is None else grace)
 
     def close(self) -> None:
         """Drain, then flush and release the store and library (idempotent)."""
         if self._closed:
             return
         self.begin_shutdown()
-        # Wait for in-flight submits (both modes) to settle: the pool's drain
+        # Wait for in-flight submits to settle: the pool's drain
         # fails their remaining goals within shutdown_grace, so this converges.
         deadline = time.monotonic() + self.config.shutdown_grace + 10.0
         with self._lifecycle:
@@ -1125,7 +1087,7 @@ async def serve(
 
     def on_signal() -> None:
         # Runs on the event loop; the heavy lifting (killing stragglers) is
-        # the scheduler's, triggered through the sticky shutdown flag.
+        # the pool's, triggered through its sticky shutdown flag.
         service.begin_shutdown()
         stop.set()
 

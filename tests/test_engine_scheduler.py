@@ -1,4 +1,4 @@
-"""Tests for the multiprocess scheduler and ``run_suite_parallel``.
+"""Tests for the multiprocess worker pool and ``run_suite_parallel``.
 
 The parity tests use generous per-goal budgets so that no status sits near the
 failed-vs-timeout wall-clock boundary (CPU contention inflates search times;
@@ -17,9 +17,9 @@ from multiprocessing.connection import wait as wait_for_events
 import pytest
 
 from repro.benchmarks_data import isaplanner_problems
-from repro.engine import Scheduler, Task, load_spec, solve_task
+from repro.engine import Task, load_spec, solve_task
 from repro.engine.scheduler import WorkerPool
-from repro.harness import run_suite, run_suite_parallel
+from repro.harness import run_suite, run_suite_parallel, worker_utilisation_table
 from repro.search import ProverConfig
 
 FORK_AVAILABLE = "fork" in multiprocessing.get_all_start_methods()
@@ -123,6 +123,14 @@ class TestRunSuiteParallel:
         out_of_scope = [r for r in parallel.records if r.status == "out-of-scope"]
         assert all(r.worker == -1 for r in out_of_scope)
 
+    def test_utilisation_lists_every_private_slot(self, subset_problems):
+        """A batch reports one row per worker of its pool, idle ones included."""
+        parallel = run_suite_parallel(subset_problems, ProverConfig(timeout=5.0), jobs=3)
+        assert sorted(parallel.engine.worker_stats) == [0, 1, 2]
+        assert sum(s["tasks"] for s in parallel.engine.worker_stats.values()) == 5
+        table = worker_utilisation_table(parallel)
+        assert all(f"worker {slot}" in table for slot in range(3))
+
     def test_progress_callback_sees_every_problem(self, subset_problems):
         seen = []
         run_suite_parallel(
@@ -179,6 +187,15 @@ class TestCrashIsolation:
         assert result.record("prop_01").proved
 
 
+def _run_on_private_pool(tasks, **pool_options) -> dict:
+    """Run ``tasks`` as one session on a fresh pool, closed afterwards."""
+    pool = WorkerPool(**pool_options)
+    try:
+        return pool.session(None).run(tasks)
+    finally:
+        pool.close()
+
+
 @pytest.mark.skipif(not FORK_AVAILABLE, reason="engine tests rely on the fork start method")
 class TestSchedulerDirectly:
     def test_custom_resolver_restricts_the_problem_set(self):
@@ -191,17 +208,22 @@ class TestSchedulerDirectly:
             Task(uid=1, index=1, suite="isaplanner", name="prop_40",
                  variant="v", config=config),
         ]
-        scheduler = Scheduler(jobs=1, resolver="engine_hooks:tiny_resolver")
-        results = scheduler.run(tasks)
+        results = _run_on_private_pool(tasks, jobs=1, resolver="engine_hooks:tiny_resolver")
         assert results[0]["status"] == "proved"
         # prop_40 is not produced by the tiny resolver
         assert results[1]["status"] == "failed"
         assert "unknown problem" in results[1]["reason"]
 
     def test_zero_tasks(self):
-        scheduler = Scheduler(jobs=2)
-        assert scheduler.run([]) == {}
-        assert scheduler.worker_stats == {}
+        pool = WorkerPool(jobs=2)
+        try:
+            session = pool.session(None)
+            assert session.run([]) == {}
+            assert session.worker_stats == {}
+        finally:
+            pool.close()
+        # the batch API reports an empty run the same way
+        assert run_suite_parallel([], jobs=2).engine.worker_stats == {}
 
     def test_program_fingerprint_mismatch_fails_the_task(self):
         """A resolver rebuilding a *different* program must not silently solve."""
@@ -210,8 +232,7 @@ class TestSchedulerDirectly:
         task = Task(uid=0, index=0, suite="isaplanner", name="prop_01",
                     variant="v", config=asdict(ProverConfig(timeout=2.0)),
                     program="not-the-real-fingerprint")
-        scheduler = Scheduler(jobs=1, resolver="engine_hooks:tiny_resolver")
-        results = scheduler.run([task])
+        results = _run_on_private_pool([task], jobs=1, resolver="engine_hooks:tiny_resolver")
         assert results[0]["status"] == "failed"
         assert "fingerprint mismatch" in results[0]["reason"]
 
@@ -220,8 +241,7 @@ class TestSchedulerDirectly:
 
         task = Task(uid=0, index=0, suite="isaplanner", name="prop_01",
                     variant="v", config=asdict(ProverConfig(timeout=2.0)))
-        scheduler = Scheduler(jobs=1, resolver="engine_hooks:does_not_exist")
-        results = scheduler.run([task])
+        results = _run_on_private_pool([task], jobs=1, resolver="engine_hooks:does_not_exist")
         assert results[0]["status"] == "failed"
         assert "initialisation" in results[0]["reason"]
 

@@ -79,6 +79,21 @@ bad x = True
 """
             )
 
+    def test_ill_typed_application_message(self):
+        with pytest.raises(TypeCheckError) as caught:
+            load_program(
+                """
+data Nat = Z | S Nat
+data Bool = True | False
+bad :: Nat -> Nat
+bad x = S True
+"""
+            )
+        assert str(caught.value) == (
+            "application SApp(fun=SCon(name='S'), arg=SCon(name='True')): "
+            "cannot unify Nat -> Nat with Bool -> $r1: cannot unify Nat with Bool"
+        )
+
     def test_unbound_variable_rejected(self):
         with pytest.raises(ElaborationError):
             load_program(

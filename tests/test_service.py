@@ -2,7 +2,7 @@
 
 Covers the service core in-process (no socket), the asyncio daemon over a
 real unix socket, the lemma-library verification gate, the advisory store
-lock, and the graceful-shutdown paths (drained scheduler, killed worker,
+lock, and the graceful-shutdown paths (drained pool, killed worker,
 daemon dying mid-request yielding a clean client error).
 """
 
@@ -21,7 +21,7 @@ import time
 
 import pytest
 
-from repro.engine.scheduler import Scheduler, Task
+from repro.engine.scheduler import Task, WorkerPool
 from repro.engine.store import ResultStore, StoreLockError
 from repro.proofs.certificate import canonical_json
 from repro.search.config import ProverConfig
@@ -242,7 +242,7 @@ class TestLemmaLibrary:
 
 class TestShutdown:
     def test_scheduler_drains_pending_and_kills_stragglers(self):
-        scheduler = Scheduler(
+        pool = WorkerPool(
             jobs=1,
             resolver="engine_hooks:tiny_resolver",
             worker_hook="engine_hooks:hang_on_prop_11",
@@ -256,20 +256,21 @@ class TestShutdown:
             Task(uid=1, index=1, suite="isaplanner", name="prop_01",
                  variant="base", config=asdict(config)),
         ]
-        timer = threading.Timer(1.0, scheduler.request_shutdown, kwargs={"grace": 0.5})
+        timer = threading.Timer(1.0, pool.request_shutdown, kwargs={"grace": 0.5})
         timer.start()
         started = time.monotonic()
         try:
-            results = scheduler.run(tasks)
+            results = pool.session(None).run(tasks)
         finally:
             timer.cancel()
+            pool.close()
         elapsed = time.monotonic() - started
         # Far below the 30 s task budget: the hung worker was killed at the
         # shutdown grace, and the queued task never dispatched.
         assert elapsed < 15.0
         assert "service shutting down" in results[0]["reason"]
         assert "service shutting down" in results[1]["reason"]
-        assert scheduler.shutting_down
+        assert pool.shutting_down
 
     def test_worker_crash_mid_request_is_a_clean_failure(self, tmp_path):
         service = make_service(
