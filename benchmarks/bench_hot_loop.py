@@ -13,9 +13,7 @@ those hot paths:
   generators only;
 * ``match_or_none`` runs a flat two-slot stack and hands its bindings dict
   to ``Substitution._adopt`` without a defensive copy;
-* ``Substitution.apply`` specialises the ubiquitous single-binding case;
-* the normaliser probes the cache with a fresh reduct's normal form and
-  fuses the lookup with the rewrite step that produced it.
+* ``Substitution.apply`` specialises the ubiquitous single-binding case.
 
 This benchmark measures the **end-to-end** effect: the same suite slice is
 run through ``run_suite`` twice, once as shipped and once under

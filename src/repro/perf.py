@@ -1,8 +1,7 @@
 """Reverting the profile-guided hot-path optimisations, for measurement.
 
 The optimisation pass (see ``docs/profiling.md``) rewrote the size-change
-closure, the matcher, substitution application, and the normaliser's reduct
-handling.  :func:`reference_hot_paths` swaps all of them back to their
+closure, the matcher and substitution application.  :func:`reference_hot_paths` swaps all of them back to their
 pre-optimisation implementations for the duration of a ``with`` block, so
 ``benchmarks/bench_hot_loop.py`` can measure the end-to-end effect as a
 paired before/after on the *same* interpreter and the same search trees —
@@ -33,9 +32,7 @@ def reference_hot_paths() -> Iterator[None]:
     * :func:`~repro.core.matching.match_or_none` → the tuple-stack version
       with the defensive ``Substitution`` copy;
     * :meth:`~repro.core.substitution.Substitution.apply` → the version
-      without the single-binding fast path;
-    * :attr:`~repro.rewriting.reduction.Normalizer.fuse_reducts` off (no NF
-      probe on fresh reducts).
+      without the single-binding fast path.
 
     Only affects objects *constructed* inside the block — build the Prover
     under the context manager.
@@ -48,7 +45,6 @@ def reference_hot_paths() -> Iterator[None]:
     import repro.search.prover as prover
     from repro.core.reference import reference_apply, reference_match_or_none
     from repro.core.substitution import Substitution
-    from repro.rewriting.reduction import Normalizer
     from repro.sizechange.reference import ReferenceIncrementalClosure
 
     saved_closure = prover.IncrementalClosure
@@ -58,7 +54,6 @@ def reference_hot_paths() -> Iterator[None]:
         for module in (prover, reduction, narrowing, structural, inference)
     }
     saved_apply = Substitution.apply
-    saved_fuse = Normalizer.fuse_reducts
 
     def apply_reference(self, term):
         return reference_apply(self, term)
@@ -69,7 +64,6 @@ def reference_hot_paths() -> Iterator[None]:
         for module in saved_match_sites:
             module.match_or_none = reference_match_or_none
         Substitution.apply = apply_reference
-        Normalizer.fuse_reducts = False
         yield
     finally:
         prover.IncrementalClosure = saved_closure
@@ -77,4 +71,3 @@ def reference_hot_paths() -> Iterator[None]:
         for module, original in saved_match_sites.items():
             module.match_or_none = original
         Substitution.apply = saved_apply
-        Normalizer.fuse_reducts = saved_fuse

@@ -254,7 +254,7 @@ def check_equation(
 
     The check runs on the compiled ground evaluator
     (:mod:`repro.semantics.evaluator`): the equation's sides are compiled once
-    and each instance is a run of the iterative machine over constructor
+    and each instance is a run of their compiled closures over constructor
     values, roughly an order of magnitude faster than normalising every
     substituted instance (``benchmarks/bench_evaluator.py``).  Programs whose
     rules fall outside the compilable functional fragment — or evaluations

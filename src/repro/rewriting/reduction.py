@@ -162,7 +162,10 @@ class Normalizer:
 
     The step budget is **per root**: every cache-missed subterm gets
     ``max_steps`` root reductions of its own (see the module-level
-    :func:`normalize`, which shares these semantics).
+    :func:`normalize`, which shares these semantics).  ``max_total_steps``
+    optionally caps :attr:`steps_taken` as well, across every root and every
+    :meth:`normalize` call: a per-root budget alone never stops a runaway
+    that nests a fresh root per step (``f x = S (f x)``).
     """
 
     def __init__(
@@ -171,11 +174,13 @@ class Normalizer:
         max_steps: int = DEFAULT_MAX_STEPS,
         bank: Optional[TermBank] = None,
         compile_rules: Optional[bool] = None,
+        max_total_steps: Optional[int] = None,
     ):
         if compile_rules is None:
             compile_rules = compile_rules_default()
         self.system = system
         self.max_steps = max_steps
+        self.max_total_steps = max_total_steps
         # `is not None`, not truthiness: an empty TermBank is falsy (len 0).
         self._bank = bank if bank is not None else current_bank()
         self._cache: Dict[int, Term] = {}
@@ -252,12 +257,6 @@ class Normalizer:
     _ENTER = 1    # payload: a frame — schedule the children, then _FINISH
     _FINISH = 2   # payload: a frame — rebuild from child NFs, reduce the root
 
-    #: Probe the NF cache on every freshly produced reduct (see the _FINISH
-    #: opcode).  Class-level so the benchmark baseline can restore the
-    #: pre-optimisation behaviour without a config knob — a ProverConfig
-    #: switch would change every config fingerprint and invalidate stores.
-    fuse_reducts = True
-
     def _normalize_iterative(self, root: Term) -> Term:
         """Normalise without recursing per term level.
 
@@ -288,6 +287,9 @@ class Normalizer:
         bank_app = bank.app
         system = self.system
         max_steps = self.max_steps
+        max_total_steps = self.max_total_steps
+        if max_total_steps is None:
+            max_total_steps = float("inf")
         compiled = self._compiled
         # The compiled per-head matcher table, probed inline.  Misses go
         # through _build_head (lazy compile), `_never_matches` marks heads
@@ -295,7 +297,6 @@ class Normalizer:
         # run the generic candidate+match loop below.
         matchers = None if compiled is None else compiled._matchers
         head_steps = self.head_steps
-        fuse = self.fuse_reducts
         while tasks:
             op, payload = pop()
             if op == 0:  # _NORM
@@ -363,24 +364,19 @@ class Normalizer:
                     emit(current)
                     continue
                 current = reduct
-                self.steps_taken += 1
+                taken = self.steps_taken + 1
+                self.steps_taken = taken
                 steps += 1
+                if taken >= max_total_steps:
+                    # No term in the message: the runaway's terms can be
+                    # too deep for the recursive printer.
+                    raise RewriteError(
+                        f"normalisation exceeded {max_total_steps} steps in total"
+                    )
                 if steps >= max_steps:
                     raise RewriteError(
                         f"normalisation of {orig} exceeded {max_steps} steps"
                     )
-                # Fused round trip: rule right-hand sides instantiate to the
-                # same reducts over and over (constructor-headed ones
-                # especially), so probe the NF cache on the fresh reduct
-                # before re-walking its spine.  A hit finishes the frame in
-                # one probe instead of a full _ENTER/_NORM/_FINISH cycle.
-                if fuse and reduct._bank is bank:
-                    fused = cache.get(reduct._id)
-                    if fused is not None:
-                        self.cache_hits += 1
-                        cache[orig._id] = fused
-                        emit(fused)
-                        continue
                 frame[1] = current
                 frame[2] = steps
                 push((1, frame))

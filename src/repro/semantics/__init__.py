@@ -3,7 +3,7 @@
 CycleQ's proof system can only ever answer "proved" or "gave up" — it has no
 way to *refute* a conjecture.  This subsystem supplies the missing third
 answer.  It compiles a program's rewrite rules into per-function pattern-match
-decision trees and evaluates ground terms on an iterative environment machine
+decision trees and evaluates ground terms with closure-compiled functions
 (:mod:`repro.semantics.evaluator`), enumerates and samples well-typed
 constructor values fairly across variables (:mod:`repro.semantics.generators`),
 and tests conjectures — including conditional ones — on mixed

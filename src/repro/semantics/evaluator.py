@@ -1,4 +1,4 @@
-"""Compiled ground evaluation: decision trees + an iterative environment machine.
+"""Compiled ground evaluation: decision trees + closure-compiled expressions.
 
 The generic :class:`~repro.rewriting.reduction.Normalizer` answers "what is the
 normal form of this term?" for *any* term, by scanning every position against a
@@ -28,11 +28,13 @@ directly:
   turns an open term into an expression over variable *slots* (with
   superinstructions for the common all-immediate and one-complex-child
   shapes, constant folding of closed subterms, and lazy *selector* functions
-  like ``ite``), and two engines execute it: a closure-compiled fast path
-  riding the Python call stack, and an explicit work/value-stack machine with
-  identical semantics that takes over on ``RecursionError`` — so deeply
-  recursive evaluations (``rev`` of a very long list) never die on Python's
-  recursion limit, and ordinary ones never pay the explicit stack's overhead.
+  like ``ite``), and one engine executes it: every expression becomes a
+  Python closure riding the Python call stack.  Data too deep for that stack
+  (``rev`` of a very long list) raises ``RecursionError``; the evaluation is
+  then finished on the iterative
+  :class:`~repro.rewriting.reduction.Normalizer` and its normal form read
+  back as a canonical value (:meth:`Evaluator._deep`), so deep evaluations
+  never die on Python's recursion limit and ordinary ones pay nothing.
 
 The evaluator is deliberately partial: rules that the match-tree compiler
 declines (non-uniform arities, non-constructor patterns, … — e.g. systems
@@ -46,9 +48,12 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
-from ..core.exceptions import CycleQError
+from ..core.exceptions import CycleQError, RewriteError
+from ..core.substitution import Substitution
 from ..core.terms import Sym, Term, Var, apply_term, spine
 from ..rewriting.matchtree import FAIL, LEAF, MatchCompilationDeclined, compile_head
+from ..rewriting.reduction import Normalizer
+from ..rewriting.trs import RewriteSystem
 
 __all__ = [
     "Evaluator",
@@ -201,13 +206,12 @@ def render_value(value: Value) -> str:
 # `simple` is a superinstruction: when every child is a variable or a folded
 # literal (the overwhelmingly common shape — recursive calls like `add x y`,
 # result cells like `Cons x (…)` are built around them), it holds a tuple of
-# ``(is_var, slot_or_value)`` pairs and the machine builds the arguments in
-# one pass instead of scheduling one work-stack round trip per child.
+# ``(is_var, slot_or_value)`` pairs and the closure builds the arguments in
+# one pass instead of calling one child closure per argument.
 #
 # The one-complex-child variants cover the other dominant shape, the
 # structural-recursion cell (`S (add x y)`, `Cons x (app xs ys)`): only the
-# complex child is scheduled, the immediate siblings are materialised when it
-# resolves:
+# complex child gets a closure, the immediate siblings are read in place:
 #   (E_CON1, name, spec, complex_expr, pos)
 #   (E_CALL1, name, spec, complex_expr, pos)
 # where `spec` holds the immediate children as ``(is_var, slot_or_value)``
@@ -226,16 +230,6 @@ def render_value(value: Value) -> str:
 
 E_VAR, E_CON, E_CALL, E_PAPP, E_APPLY, E_LIT, E_CON1, E_CALL1 = 0, 1, 2, 3, 4, 5, 6, 7
 T_LEAF, T_SWITCH, T_FAIL = 0, 1, 2
-
-# Work-stack opcodes of the iterative machine.
-_EVAL, _MKCON, _CALL, _MKCLOSURE, _APPLY, _MEMOIZE, _MKCON1, _CALL1 = range(8)
-
-
-def _fetch(args: Sequence[Value], path: Tuple[int, ...]) -> Value:
-    value = args[path[0]]
-    for step in path[1:]:
-        value = value[step + 1]
-    return value
 
 
 class Evaluator:
@@ -273,17 +267,19 @@ class Evaluator:
         self._con_arity: Dict[str, int] = {
             name: signature.arity(name) for name in signature.constructors
         }
+        #: The rules in declaration order, and (built on first use) the
+        #: normaliser over them that finishes deep evaluations (:meth:`_deep`).
+        self._rules = tuple(rules)
+        self._deep_normalizer: Optional[Normalizer] = None
         grouped: Dict[str, List] = {}
-        for rule in rules:
+        for rule in self._rules:
             grouped.setdefault(rule.head, []).append(rule)
         self._fn_arity: Dict[str, int] = {}
         self._trees: Dict[str, tuple] = {}
-        # Closure-compiled fast path: per-expression Python closures (keyed by
-        # the expression object's id; `_expr_pins` keeps those ids valid).
-        # Closures recurse on the Python stack — far cheaper than interpreting
-        # opcodes — and a RecursionError on pathologically deep data falls
-        # back to the iterative machine, which shares the same memo and intern
-        # tables, so both engines always agree.
+        # Per-expression Python closures (keyed by the expression object's id;
+        # `_expr_pins` keeps those ids valid).  Closures recurse on the Python
+        # stack; a RecursionError on pathologically deep data hands the
+        # evaluation to the normaliser (:meth:`_deep`).
         self._expr_fns: Dict[int, Callable] = {}
         self._expr_pins: List[tuple] = []
         self._fn_table: Dict[str, Callable] = {}
@@ -295,6 +291,10 @@ class Evaluator:
         #: goal compiles its sides) returns the same expression, and with it
         #: the same pinned closure, instead of pinning a fresh one each time.
         self._compiled: Dict[tuple, Tuple[Term, tuple]] = {}
+        #: Source term and ``(name, slot)`` pairs of each compiled expression,
+        #: by ``id`` (the expression is pinned by `_compiled`), for
+        #: :meth:`_deep`.
+        self._sources: Dict[int, Tuple[Term, Tuple[Tuple[str, int], ...]]] = {}
         #: Instance streams memoised by
         #: :func:`repro.semantics.generators.instance_stream`, keyed by the
         #: variables' concretised types and the stream parameters.  Their
@@ -349,7 +349,7 @@ class Evaluator:
         return value
 
     #: Public name of the constructor interning, for value builders outside
-    #: the machine: the falsifier's random instances are built through it
+    #: the evaluator: the falsifier's random instances are built through it
     #: node by node, so they arrive canonical and skip :meth:`intern_value`.
     make_constructor = _mk_con
 
@@ -370,7 +370,7 @@ class Evaluator:
     def intern_value(self, value: "Value") -> "Value":
         """The canonical representative of an externally built value.
 
-        Values produced by the machine are canonical already (O(1) re-check);
+        Values produced by the evaluator are canonical already (O(1) re-check);
         foreign values — e.g. from :mod:`repro.semantics.generators` — are
         walked bottom-up, iteratively.
         """
@@ -402,6 +402,9 @@ class Evaluator:
     def clear_caches(self) -> None:
         """Empty the intern tables, the call memo and the stream memo together.
 
+        The overflow path's normaliser (:meth:`_deep`) goes too; its cache
+        holds terms, not values, so only to free memory.
+
         They must go together: memo keys hold ``id``s of interned objects, so
         clearing one without the other could let a recycled id alias a stale
         entry, and a memoised instance stream holds values that would no
@@ -417,6 +420,7 @@ class Evaluator:
         for memo in self._fn_memos.values():
             memo.clear()
         self.stream_memo.clear()
+        self._deep_normalizer = None
         for literal in self._literals:
             self._register_canonical(literal)
 
@@ -446,15 +450,12 @@ class Evaluator:
             self._intern[key] = node
             canon[id(node)] = node
 
-    # -- the closure-compiled fast path ---------------------------------------
+    # -- closure compilation --------------------------------------------------
     #
-    # Every compiled expression also gets a Python closure `env -> value`:
+    # Every compiled expression gets a Python closure `env -> value`:
     # constructor cells close over `_mk_con`, calls close over their callee's
-    # compiled function closure (`_fn_of_function`),
-    # and recursion rides the Python call stack instead of the opcode stack.
-    # This is the fast engine; the iterative machine below is the same
-    # semantics without a stack limit, used as the RecursionError fallback
-    # (both share the decision trees, the memo, and the intern tables).
+    # compiled function closure (`_fn_of_function`), and recursion rides the
+    # Python call stack.
 
     def _fn_for_expr(self, expr: tuple) -> Callable:
         """The (cached) closure of a compiled expression."""
@@ -550,8 +551,9 @@ class Evaluator:
         A selector like ``ite`` — one constructor switch, every right-hand
         side a whole argument or a closed value — evaluates lazily: only the
         scrutinee and the *selected* branch argument are computed.  (The
-        strict engines compute all arguments; on terminating programs the
-        results agree, this path just skips the discarded branch.)
+        normaliser, which finishes deep evaluations, computes all arguments;
+        on terminating programs the results agree, this path just skips the
+        discarded branch.)
         """
         scrutinee_index, branch_table, default_target = selector
         scrutinee_fn = child_fns[scrutinee_index]
@@ -583,8 +585,6 @@ class Evaluator:
         fn = self._fn_table.get(name)
         if fn is not None:
             return fn
-        # One memo per function, shared with the iterative fallback engine —
-        # work done by either engine is visible to the other.
         memo = self._fn_memos.setdefault(name, {})
         evaluator = self
         holder: List[tuple] = []  # [closure-tree], filled after registration
@@ -699,7 +699,7 @@ class Evaluator:
         return path[0] if len(path) == 1 else None
 
     def _compile_ctree(self, node: tuple) -> tuple:
-        """Specialise a decision tree for the fast path.
+        """Specialise a decision tree for the function closures.
 
         Leaves carry their right-hand side's compiled closure directly, and
         depth-1 occurrence paths (plain argument positions — the common case)
@@ -722,7 +722,7 @@ class Evaluator:
         return (2,)
 
     def _apply_value(self, fun: "Value", args: Tuple["Value", ...]) -> "Value":
-        """Apply a (closure) value to arguments on the fast path.
+        """Apply a (closure) value to arguments.
 
         Saturates the closure, evaluates, and re-applies any remaining
         arguments to the result (over-application loops, it does not recurse).
@@ -791,6 +791,7 @@ class Evaluator:
             memo[id(node)] = self._combine(head, children, slots)
         expr = memo[id(term)]
         self._compiled[key] = (term, expr)
+        self._sources[id(expr)] = (term, key[1:])
         return expr
 
     def _combine(
@@ -837,7 +838,7 @@ class Evaluator:
             if is_constructor:
                 if all_literal:
                     # Closed constructor subexpression: fold to its canonical
-                    # value now, so the machine never revisits it.  Literals
+                    # value now, so evaluation never revisits it.  Literals
                     # are pinned so their ids outlive the compiled expression.
                     literal = self._mk_con(name, tuple(c[1] for c in children))
                     self._literals.append(literal)
@@ -864,15 +865,15 @@ class Evaluator:
         )
         return (E_APPLY, saturated, children[arity:])
 
-    # -- the machine ---------------------------------------------------------
+    # -- running compiled expressions -----------------------------------------
 
     def run(self, expr: tuple, env: Sequence[Value] = ()) -> Value:
         """Execute a compiled expression against an environment.
 
-        An explicit work stack (opcodes) and value stack replace the Python
-        call stack, so recursion depth is bounded by memory, not by
-        ``sys.getrecursionlimit()``; a call budget (:attr:`max_calls`) bounds
-        runaway definitions.
+        The expression's closure runs on the Python call stack; data too deep
+        for it finishes on the normaliser (:meth:`_deep`), so recursion depth
+        is bounded by memory, not by ``sys.getrecursionlimit()``.  A call
+        budget (:attr:`max_calls`) bounds runaway definitions.
 
         Calls are memoised: functions here are pure, so ``(function, argument
         values)`` determines the result, and the memo table plays the role the
@@ -894,27 +895,19 @@ class Evaluator:
         self._remaining = self.max_calls
         try:
             result = self._fn_for_expr(expr)(env)
-            self.calls_made += self.max_calls - self._remaining
-            return result
         except RecursionError:
-            pass
-        # Pathologically deep data for the Python stack: redo the evaluation
-        # on the explicit-stack machine (memo entries already computed by the
-        # aborted fast attempt are correct and simply get reused).
-        values: List[Value] = []
-        budget = self._drain([(_EVAL, expr, env)], values, self._remaining)
-        self.calls_made += self.max_calls - budget
-        if len(values) != 1:
-            raise EvaluationError("corrupt machine state")  # pragma: no cover
-        return values[0]
+            result = self._deep(expr, env)
+        self.calls_made += self.max_calls - self._remaining
+        return result
 
     def equal(self, lhs: tuple, rhs: tuple, env: Sequence[Value]) -> bool:
         """Do two compiled expressions evaluate to the same value under ``env``?
 
         The falsifier's inner test.  The environment must already be canonical
         (values produced by :meth:`intern_value`, :meth:`make_constructor` or
-        the machine itself);
-        because values are hash-consed, identity decides.
+        the evaluator itself); because values are hash-consed, identity
+        decides.  Like :meth:`run`, it finishes on the normaliser when the
+        data is too deep for the Python stack.
         """
         self._remaining = self.max_calls
         try:
@@ -926,16 +919,81 @@ class Evaluator:
             if rhs_fn is None:
                 rhs_fn = self._fn_for_expr(rhs)
             result = lhs_fn(env) is rhs_fn(env)
-            self.calls_made += self.max_calls - self._remaining
-            return result
         except RecursionError:
-            pass
-        values: List[Value] = []
-        budget = self._drain(
-            [(_EVAL, rhs, env), (_EVAL, lhs, env)], values, self._remaining
-        )
-        self.calls_made += self.max_calls - budget
-        return values[0] is values[1]
+            result = self._deep(lhs, env) is self._deep(rhs, env)
+        self.calls_made += self.max_calls - self._remaining
+        return result
+
+    def _deep(self, expr: tuple, env: Sequence[Value]) -> Value:
+        """Evaluate ``expr`` under ``env`` on the normaliser.
+
+        The overflow path, for data too deep for the Python stack.  The
+        expression's source term, instantiated with the environment's values,
+        is normalised by the iterative reference
+        :class:`~repro.rewriting.reduction.Normalizer` (generic matching, no
+        code shared with the closures), and the normal form is read back
+        bottom-up as a canonical value, so it compares by identity with
+        closure results.  The normaliser is strict: selectors evaluate their
+        discarded branch here too.
+
+        The call budget left over caps the normaliser's steps across every
+        subterm (a per-root budget alone never stops ``f x = S (f x)``) and
+        is charged what they spend, so the sides and premises of one instance
+        share one budget.  The normaliser, like the call memo, lives as long
+        as the evaluator: its normal-form cache carries the instance's values,
+        and everything else already normalised, from one side and one
+        instance to the next.
+        """
+        term, slots = self._sources[id(expr)]
+        if slots:
+            term = Substitution(
+                {name: value_to_term(env[slot]) for name, slot in slots}
+            ).apply(term)
+        normalizer = self._deep_normalizer
+        if normalizer is None:
+            system = RewriteSystem(self.signature)
+            system.extend(self._rules, validate=False)
+            normalizer = self._deep_normalizer = Normalizer(system, compile_rules=False)
+        start = normalizer.steps_taken
+        normalizer.max_steps = self._remaining
+        normalizer.max_total_steps = start + self._remaining
+        try:
+            normal_form = normalizer.normalize(term)
+        except RewriteError as error:
+            raise EvaluationError(
+                f"evaluation exceeded {self.max_calls} calls on the normaliser "
+                "(non-terminating definition?)"
+            ) from error
+        except RecursionError as error:
+            raise EvaluationError(
+                "evaluation overflowed the Python stack on the normaliser"
+            ) from error
+        finally:
+            self._remaining = max(0, self._remaining - (normalizer.steps_taken - start))
+        done: Dict[int, Value] = {}
+        stack: List[Tuple[Term, bool]] = [(normal_form, False)]
+        while stack:
+            node, expanded = stack.pop()
+            if id(node) in done:
+                continue
+            head, args = spine(node)
+            if not expanded:
+                stack.append((node, True))
+                stack.extend((arg, False) for arg in args)
+                continue
+            name = head.name if isinstance(head, Sym) else None
+            if name in self._con_arity:
+                arity, is_constructor = self._con_arity[name], True
+            else:
+                arity, is_constructor = self._fn_arity.get(name, 0), False
+            values = tuple(done[id(arg)] for arg in args)
+            if is_constructor and len(values) == arity:
+                done[id(node)] = self._mk_con(name, values)
+            elif len(values) < arity:
+                done[id(node)] = self._mk_closure(name, arity, values, is_constructor)
+            else:
+                raise StuckEvaluation(f"{head} has no rule matching its arguments")
+        return done[id(normal_form)]
 
     def session(
         self,
@@ -950,243 +1008,6 @@ class Evaluator:
         entry points once and then decides whole instances with a single call
         each — the falsifier's streaming loop."""
         return EvaluationSession(self, lhs, rhs, premises)
-
-    def _drain(self, tasks: List[tuple], values: List["Value"], budget: int) -> int:
-        """Execute scheduled opcodes until the work stack empties.
-
-        Shares the per-function memo tables with the fast path, so work done
-        by an aborted closure-compiled attempt is reused here and vice versa.
-        """
-        fn_memos = self._fn_memos
-        mk_con = self._mk_con
-        while tasks:
-            op = tasks.pop()
-            code = op[0]
-            if code == _EVAL:
-                _, e, e_env = op
-                tag = e[0]
-                if tag == E_VAR:
-                    values.append(e_env[e[1]])
-                    continue
-                if tag == E_LIT:
-                    values.append(e[1])
-                    continue
-                if tag == E_CALL:
-                    simple = e[3]
-                    if simple is None:
-                        children = e[2]
-                        tasks.append((_CALL, e[1], len(children)))
-                        for child in reversed(children):
-                            tasks.append((_EVAL, child, e_env))
-                        continue
-                    # Superinstruction: every argument is a variable or a
-                    # literal, so build them in one pass — no scheduling.
-                    name = e[1]
-                    args = tuple(e_env[x] if is_var else x for is_var, x in simple)
-                    if len(args) == 1:
-                        key = id(args[0])
-                    elif len(args) == 2:
-                        key = (id(args[0]), id(args[1]))
-                    else:
-                        key = tuple(map(id, args))
-                    memo = fn_memos.get(name)
-                    if memo is None:
-                        memo = fn_memos.setdefault(name, {})
-                    cached = memo.get(key)
-                    if cached is not None:
-                        values.append(cached)
-                        continue
-                    budget -= 1
-                    if budget < 0:
-                        raise EvaluationError(
-                            f"evaluation exceeded {self.max_calls} calls "
-                            f"(non-terminating definition of {name}?)"
-                        )
-                    rhs_expr, call_env = self._match(name, args)
-                    rhs_tag = rhs_expr[0]
-                    if rhs_tag == E_VAR:
-                        # Base-case shortcut: `f ... = x` resolves right here.
-                        result = call_env[rhs_expr[1]]
-                        memo[key] = result
-                        values.append(result)
-                    elif rhs_tag == E_LIT:
-                        result = rhs_expr[1]
-                        memo[key] = result
-                        values.append(result)
-                    else:
-                        tasks.append((_MEMOIZE, memo, key))
-                        tasks.append((_EVAL, rhs_expr, call_env))
-                elif tag == E_CON1:
-                    # Schedule only the complex child; its immediate siblings
-                    # are materialised by _MKCON1 when it resolves.
-                    tasks.append((_MKCON1, e, e_env))
-                    tasks.append((_EVAL, e[3], e_env))
-                elif tag == E_CALL1:
-                    tasks.append((_CALL1, e, e_env))
-                    tasks.append((_EVAL, e[3], e_env))
-                elif tag == E_CON:
-                    simple = e[3]
-                    if simple is not None:
-                        values.append(
-                            mk_con(
-                                e[1],
-                                tuple(e_env[x] if is_var else x for is_var, x in simple),
-                            )
-                        )
-                        continue
-                    children = e[2]
-                    if children:
-                        tasks.append((_MKCON, e[1], len(children)))
-                        for child in reversed(children):
-                            tasks.append((_EVAL, child, e_env))
-                    else:  # pragma: no cover - nullary folds to E_LIT at compile
-                        values.append(mk_con(e[1], ()))
-                elif tag == E_PAPP:
-                    _, name, arity, is_constructor, children = e
-                    tasks.append((_MKCLOSURE, name, arity, is_constructor, len(children)))
-                    for child in reversed(children):
-                        tasks.append((_EVAL, child, e_env))
-                else:  # E_APPLY
-                    _, fun_expr, children = e
-                    tasks.append((_APPLY, len(children)))
-                    for child in reversed(children):
-                        tasks.append((_EVAL, child, e_env))
-                    tasks.append((_EVAL, fun_expr, e_env))
-            elif code == _MKCON:
-                _, name, count = op
-                args = tuple(values[-count:])
-                del values[-count:]
-                values.append(mk_con(name, args))
-            elif code == _MKCON1:
-                _, e, e_env = op
-                resolved = values.pop()
-                args = [e_env[x] if is_var else x for is_var, x in e[2]]
-                args.insert(e[4], resolved)
-                values.append(mk_con(e[1], tuple(args)))
-            elif code == _CALL1:
-                _, e, e_env = op
-                resolved = values.pop()
-                args = [e_env[x] if is_var else x for is_var, x in e[2]]
-                args.insert(e[4], resolved)
-                # Hand over to the generic call opcode (memo probe included).
-                values.extend(args)
-                tasks.append((_CALL, e[1], len(args)))
-            elif code == _CALL:
-                _, name, count = op
-                if count:
-                    args = tuple(values[-count:])
-                    del values[-count:]
-                else:
-                    args = ()
-                if len(args) == 1:
-                    key = id(args[0])
-                elif len(args) == 2:
-                    key = (id(args[0]), id(args[1]))
-                else:
-                    key = tuple(map(id, args))
-                memo = fn_memos.get(name)
-                if memo is None:
-                    memo = fn_memos.setdefault(name, {})
-                cached = memo.get(key)
-                if cached is not None:
-                    values.append(cached)
-                    continue
-                budget -= 1
-                if budget < 0:
-                    raise EvaluationError(
-                        f"evaluation exceeded {self.max_calls} calls "
-                        f"(non-terminating definition of {name}?)"
-                    )
-                rhs_expr, call_env = self._match(name, args)
-                rhs_tag = rhs_expr[0]
-                if rhs_tag == E_VAR:
-                    result = call_env[rhs_expr[1]]
-                    memo[key] = result
-                    values.append(result)
-                elif rhs_tag == E_LIT:
-                    result = rhs_expr[1]
-                    memo[key] = result
-                    values.append(result)
-                else:
-                    tasks.append((_MEMOIZE, memo, key))
-                    tasks.append((_EVAL, rhs_expr, call_env))
-            elif code == _MEMOIZE:
-                op[1][op[2]] = values[-1]
-            elif code == _MKCLOSURE:
-                _, name, arity, is_constructor, count = op
-                if count:
-                    args = tuple(values[-count:])
-                    del values[-count:]
-                else:
-                    args = ()
-                values.append(self._mk_closure(name, arity, args, is_constructor))
-            else:  # _APPLY
-                _, count = op
-                args = tuple(values[-count:])
-                del values[-count:]
-                fun = values.pop()
-                if not isinstance(fun, Closure):
-                    raise StuckEvaluation(f"cannot apply constructor value {fun!r}")
-                combined = fun.args + args
-                if len(combined) < fun.arity:
-                    values.append(
-                        self._mk_closure(fun.symbol, fun.arity, combined, fun.is_constructor)
-                    )
-                elif len(combined) == fun.arity:
-                    if fun.is_constructor:
-                        values.append(mk_con(fun.symbol, combined))
-                    else:
-                        # Re-enter as a saturated call: push the args back and
-                        # let the _CALL opcode match the decision tree.
-                        values.extend(combined)
-                        tasks.append((_CALL, fun.symbol, fun.arity))
-                else:
-                    # Over-application: saturate first, then apply the rest to
-                    # the resulting (necessarily function) value.
-                    rest = combined[fun.arity:]
-                    if fun.is_constructor:
-                        saturated: Value = mk_con(fun.symbol, combined[: fun.arity])
-                    else:
-                        saturated = self._call_now(fun.symbol, combined[: fun.arity])
-                    values.append(saturated)
-                    values.extend(rest)
-                    tasks.append((_APPLY, len(rest)))
-        return budget
-
-    def _match(self, name: str, args: Tuple[Value, ...]) -> Tuple[tuple, List[Value]]:
-        """Match one call against its decision tree: (rhs expression, environment)."""
-        node = self._trees[name]
-        while node[0] == T_SWITCH:
-            scrutinee = _fetch(args, node[1])
-            if type(scrutinee) is not tuple:
-                raise StuckEvaluation(
-                    f"{name}: cannot case on partial application {scrutinee!r}"
-                )
-            branch = node[2].get(scrutinee[0])
-            if branch is None:
-                branch = node[3]
-            if branch is None:
-                raise StuckEvaluation(
-                    f"{name} is not defined on constructor {scrutinee[0]}"
-                )
-            node = branch
-        if node[0] == T_FAIL:
-            raise StuckEvaluation(f"{name} has no rule matching its arguments")
-        _, fetchers, rhs_expr = node
-        return rhs_expr, [_fetch(args, path) for path in fetchers]
-
-    def _call_now(self, name: str, args: Tuple[Value, ...]) -> Value:
-        """Evaluate one saturated call to completion (used by over-application)."""
-        children = tuple((E_VAR, i) for i in range(len(args)))
-        simple = tuple((True, i) for i in range(len(args)))
-        values: List[Value] = []
-        budget = self._drain(
-            [(_EVAL, (E_CALL, name, children, simple), list(args))],
-            values,
-            self.max_calls,
-        )
-        self.calls_made += self.max_calls - budget
-        return values[0]
 
     # -- convenience ---------------------------------------------------------
 
@@ -1223,9 +1044,9 @@ class EvaluationSession:
     Values are hash-consed, so every comparison is object identity, and the
     evaluator's memo tables carry work between instances exactly as they do
     between :meth:`~Evaluator.equal` calls.  Pathologically deep data that
-    overflows the Python stack re-runs on the explicit-stack machine with the
-    budget the fast attempt left over; instances that get stuck or exhaust
-    the budget return :data:`TEST_STUCK` and prove nothing either way.
+    overflows the Python stack finishes on the normaliser with the budget the
+    closure attempt left over; instances that get stuck or exhaust the budget
+    return :data:`TEST_STUCK` and prove nothing either way.
     """
 
     __slots__ = (
@@ -1280,22 +1101,14 @@ class EvaluationSession:
             evaluator.calls_made += evaluator.max_calls - evaluator._remaining
 
     def _test_deep(self, env: Sequence[Value]) -> int:
-        """Finish one instance on the explicit-stack machine.
+        """Decide one instance on the normaliser (:meth:`Evaluator._deep`).
 
-        Entered when the closure-compiled attempt overflowed the Python
-        stack; continues under the *remaining* instance budget, and memo
-        entries the aborted attempt already computed are reused.
+        Entered when the closure attempt overflowed the Python stack; decides
+        premises first, as :meth:`test` does, under the *remaining* instance
+        budget.
         """
-        evaluator = self.evaluator
-
-        def decide(lhs: tuple, rhs: tuple) -> bool:
-            values: List[Value] = []
-            evaluator._remaining = evaluator._drain(
-                [(_EVAL, rhs, env), (_EVAL, lhs, env)], values, evaluator._remaining
-            )
-            return values[0] is values[1]
-
+        deep = self.evaluator._deep
         for premise_lhs, premise_rhs in self._premises:
-            if not decide(premise_lhs, premise_rhs):
+            if deep(premise_lhs, env) is not deep(premise_rhs, env):
                 return TEST_PREMISE_SKIP
-        return TEST_AGREE if decide(self._lhs, self._rhs) else TEST_DISAGREE
+        return TEST_AGREE if deep(self._lhs, env) is deep(self._rhs, env) else TEST_DISAGREE

@@ -8,8 +8,9 @@ agree with it:
 
 * the compiled open-term matcher returns the reduct of the first row that
   matches (or ``None`` when no row does);
-* the ground evaluator's ``_match`` selects that same row's right-hand side,
-  with the same bindings (or is stuck).
+* the ground evaluator's compiled function (``_fn_of_function``, the tree
+  walk every evaluation takes) returns that same row's right-hand side, with
+  the same bindings (or is stuck).
 
 Case order and spine lengths are invisible to first-match semantics, so a
 small golden tree pins them.
@@ -136,10 +137,9 @@ class TestFirstMatch:
             args = (evaluator.evaluate(num(n)), evaluator.evaluate(nat_list(xs)))
             if expected is None:
                 with pytest.raises(StuckEvaluation):
-                    evaluator._match("f", args)
+                    evaluator._fn_of_function("f")(args)
                 continue
-            rhs_expr, env = evaluator._match("f", args)
-            assert evaluator.run(rhs_expr, env) is evaluator.evaluate(expected)
+            assert evaluator._fn_of_function("f")(args) is evaluator.evaluate(expected)
 
 
 class TestTreeShape:

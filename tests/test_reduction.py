@@ -148,6 +148,34 @@ class TestPerRootStepBudget:
         assert compiled.normalize(term) == Sym("Z")
         assert compiled.steps_taken > 12  # total work exceeds any one budget
 
+    def test_total_cap_counts_across_roots_and_calls(self, countdown_program):
+        # The two chains above plus the final `add Z Z` take 21 steps in
+        # all; as with the per-root budget, the cap must be strictly larger.
+        term = countdown_program.parse_term(
+            "add (countdown ("
+            + "S (" * 10 + "Z" + ")" * 10
+            + ")) (countdown ("
+            + "S (" * 8 + "Z" + ")" * 8
+            + "))"
+        )
+        rules = countdown_program.rules
+        for compile_rules in (True, False):
+            assert Normalizer(
+                rules, max_steps=12, compile_rules=compile_rules, max_total_steps=22
+            ).normalize(term) == Sym("Z")
+            with pytest.raises(RewriteError):
+                Normalizer(
+                    rules, max_steps=12, compile_rules=compile_rules, max_total_steps=21
+                ).normalize(term)
+            # One cap across calls: 11 steps fit 20, 10 more (on terms the
+            # first call never saw) do not.
+            capped = Normalizer(rules, compile_rules=compile_rules, max_total_steps=20)
+            assert capped.normalize(self._chain(countdown_program, 10)) == Sym("Z")
+            with pytest.raises(RewriteError):
+                capped.normalize(
+                    countdown_program.parse_term("add (" + "S (" * 9 + "Z" + ")" * 9 + ") Z")
+                )
+
     def test_wrapper_and_class_agree_on_abort(self, countdown_program):
         term = self._chain(countdown_program, 30)
         rules = countdown_program.rules
