@@ -30,10 +30,14 @@ Two claims, both asserted:
   modes; a speedup that changes the search is not an optimisation.
 * **speedup** — the paired, interleaved 95% CI *lower bound* of the
   reference/optimised wall-clock ratio must be ≥ 1.25×.  (The measured
-  point estimate is far higher — 4.2×, CI [4.0×, 4.4×], on a 2-core Xeon
-  under Python 3.11, up from 2.8× before the semi-naive closure update —
-  but the asserted bound is kept conservative so the gate stays robust on
-  slow or loaded CI machines.)
+  point estimate is far higher — 22–26×, CI lower 19–23×, on a 2-vCPU Xeon
+  under Python 3.11 — but the asserted bound is kept conservative so the
+  gate stays robust on slow or loaded CI machines.  The slice runs
+  ``falsify_first``, whose ground testing both arms pay.  It used to take
+  about 1 s of the optimised arm's run and diluted the ratio to 4–5×; since
+  the table-driven instance generation and the memoised instance streams it
+  takes about 0.02 s on warm repeats, so the ratio now reads the hot paths
+  themselves.  See ``docs/profiling.md``, "The headline number".)
 
 Run directly (``PYTHONPATH=src python benchmarks/bench_hot_loop.py``) for
 the full report, or through pytest for the asserted gates.

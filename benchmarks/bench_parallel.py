@@ -29,7 +29,8 @@ import pytest
 
 from conftest import print_report  # shared benchmark helpers
 from repro.benchmarks_data import isaplanner_problems
-from repro.harness import format_table, run_suite, run_suite_parallel, worker_utilisation_table
+from repro.engine import solve_suite
+from repro.harness import format_table, run_suite, worker_utilisation_table
 from repro.search import ProverConfig
 
 #: A slice of the suite that mixes fast proofs with budget-bound failures, so
@@ -69,7 +70,7 @@ def run_scaling() -> Tuple[Dict[str, object], str]:
     ]
     for jobs in WORKER_COUNTS:
         started = time.perf_counter()
-        result = run_suite_parallel(problems, CONFIG, suite_name="isaplanner", jobs=jobs)
+        result = solve_suite(problems, CONFIG, suite_name="isaplanner", jobs=jobs)
         wall = time.perf_counter() - started
         measurements.append((f"{jobs} workers", wall, serial_wall / wall, result))
 
@@ -98,8 +99,8 @@ def run_warm_store() -> Tuple[int, int]:
     problems = _slice_problems()[:8]
     with tempfile.TemporaryDirectory() as tmp:
         store = os.path.join(tmp, "store.jsonl")
-        run_suite_parallel(problems, CONFIG, suite_name="isaplanner", jobs=2, store=store)
-        warm = run_suite_parallel(problems, CONFIG, suite_name="isaplanner", jobs=2, store=store)
+        solve_suite(problems, CONFIG, suite_name="isaplanner", jobs=2, store=store)
+        warm = solve_suite(problems, CONFIG, suite_name="isaplanner", jobs=2, store=store)
         attempted = [r for r in warm.records if r.status != "out-of-scope"]
         replayed = [r for r in attempted if r.cached]
         return len(replayed), len(attempted)
@@ -144,7 +145,7 @@ def test_statuses_match_serial_at_4_workers():
     problems = _slice_problems()
     budget = PARITY_CONFIG.timeout
     serial = run_suite(problems, PARITY_CONFIG, suite_name="isaplanner")
-    parallel = run_suite_parallel(problems, PARITY_CONFIG, suite_name="isaplanner", jobs=4)
+    parallel = solve_suite(problems, PARITY_CONFIG, suite_name="isaplanner", jobs=4)
     assert [r.name for r in parallel.records] == [r.name for r in serial.records]
     boundary = {
         r.name

@@ -21,7 +21,7 @@ provable alone.  This benchmark measures both.
   service whose resident one-worker pool serves every request as its own
   session, so the worker spawns once and keeps the elaborated theory.  The
   baseline is the batch API: each client takes one lock and calls
-  :func:`~repro.harness.runner.run_suite_parallel` with one job and a
+  :func:`~repro.engine.solve_suite` with one job and a
   :class:`~repro.service.resolver.SourceResolver`, so every request spawns a
   private worker that elaborates the theory from source, one request at a
   time.  The resolver matters: the default registry resolver would inherit
@@ -52,7 +52,8 @@ from conftest import print_report  # shared benchmark helpers
 from stats import Sample, format_sample, measure_paired
 
 from repro.benchmarks_data.registry import SUITE_PROGRAM_SOURCES
-from repro.harness import run_suite_parallel
+from repro.engine import solve_suite
+from repro.obs.trace import TraceSink
 from repro.proofs.certificate import canonical_json
 from repro.search import ProverConfig
 from repro.service import ProofService, ServiceConfig
@@ -211,7 +212,7 @@ def run_concurrent_vs_private_pools() -> Dict[str, object]:
     try:
         def solve_privately(name: str) -> Tuple[int, int]:
             with one_at_a_time:
-                result = run_suite_parallel(problems, config, jobs=1, resolver=resolver)
+                result = solve_suite(problems, config, jobs=1, resolver=resolver)
             return len(result.solved), result.engine.worker_spawns
 
         def submit(name: str) -> Tuple[int, int]:
@@ -321,34 +322,41 @@ def run_tracing_overhead() -> Dict[str, object]:
     sink's pending list plus a writer thread's batched JSONL serialization.
     The replay path stays inside the envelope by design — sink writes are
     asynchronous and pure-replay requests are head-sampled (1 in
-    ``REPLAY_SINK_SAMPLE``) — and this slice holds it to that: two
-    identically primed resident services, paired interleaved batches,
-    plain/traced ratio (1.0 means free, 0.98 is the promised ceiling).
+    ``REPLAY_SINK_SAMPLE``) — and this slice holds it to that: one primed
+    resident service, whose one :class:`TraceSink` is attached to its tracer
+    for the traced batches and detached for the plain ones, paired
+    interleaved batches, plain/traced ratio (1.0 means free, 0.98 is the
+    promised ceiling).  One service for both arms keeps the comparison to the
+    sink alone: two separately primed services also differ in warm state and
+    heap layout, and the ratio of their noise floors reads that too.
     """
     scratch = tempfile.mkdtemp(prefix="bench-service-trace-")
-    plain = ProofService(
-        ServiceConfig(store_path=f"{scratch}/plain-store.jsonl", timeout=TIMEOUT)
+    service = ProofService(
+        ServiceConfig(store_path=f"{scratch}/store.jsonl", timeout=TIMEOUT)
     )
-    traced = ProofService(
-        ServiceConfig(
-            store_path=f"{scratch}/traced-store.jsonl",
-            timeout=TIMEOUT,
-            trace_path=f"{scratch}/trace.jsonl",
-        )
-    )
+    sink = TraceSink(f"{scratch}/trace.jsonl")
+    tracer = service.tracer
+
+    def use_sink(attached: Optional[TraceSink]) -> None:
+        # What ``Tracer.configure_sink`` does, minus closing and reopening
+        # the file: both arms share one sink, and with it one writer thread.
+        with tracer._lock:
+            tracer._sink = attached
+
     try:
-        for service in (plain, traced):
-            prime, _ = _submit(service, suite="isaplanner", goals=list(GOALS))
-            if prime["proved"] != len(GOALS):
-                raise AssertionError(f"pinned slice must be provable: {prime}")
+        prime, _ = _submit(service, suite="isaplanner", goals=list(GOALS))
+        if prime["proved"] != len(GOALS):
+            raise AssertionError(f"pinned slice must be provable: {prime}")
 
         def baseline() -> None:
+            use_sink(None)
             for _ in range(TRACE_BATCH):
-                _submit(plain, suite="isaplanner", goals=list(GOALS))
+                _submit(service, suite="isaplanner", goals=list(GOALS))
 
         def candidate() -> None:
+            use_sink(sink)
             for _ in range(TRACE_BATCH):
-                _submit(traced, suite="isaplanner", goals=list(GOALS))
+                _submit(service, suite="isaplanner", goals=list(GOALS))
 
         plain_sample, traced_sample, ratio_sample = measure_paired(
             baseline,
@@ -359,7 +367,11 @@ def run_tracing_overhead() -> Dict[str, object]:
             # spikes (scheduler preemptions) that would drown a 2% signal.
             inner=TRACE_INNER,
         )
-        metrics = traced.metrics_snapshot()
+        use_sink(None)
+        sink.close()  # drains the backlog, so the line count below is final
+        with open(sink.path, encoding="utf-8") as handle:
+            sink_records = sum(1 for _ in handle)
+        metrics = service.metrics_snapshot()
         return {
             "plain": Sample(tuple(v / TRACE_BATCH for v in plain_sample.values)),
             "traced": Sample(tuple(v / TRACE_BATCH for v in traced_sample.values)),
@@ -374,10 +386,12 @@ def run_tracing_overhead() -> Dict[str, object]:
             "floor_ratio": min(plain_sample.values) / min(traced_sample.values),
             "replay_p99": metrics["op_latency"]["store_replay"]["p99"],
             "replay_count": metrics["op_latency"]["store_replay"]["count"],
+            "sink_records": sink_records,
         }
     finally:
-        plain.close()
-        traced.close()
+        use_sink(None)
+        sink.close()
+        service.close()
         shutil.rmtree(scratch, ignore_errors=True)
 
 
@@ -466,8 +480,9 @@ def _tracing_table(report: Dict[str, object]) -> str:
         f"plain/traced noise floor: {report['floor_ratio']:.3f}x (>= 0.98 required)",
         f"plain/traced per pair:  mean {ratio.mean:.3f}x (>= 0.95 required),"
         f" 95% CI lower {ratio.ci_low:.3f}x",
-        f"store_replay p99 under tracing: {report['replay_p99'] * 1000.0:.2f} ms"
-        f" over {report['replay_count']} replayed goals",
+        f"store_replay p99: {report['replay_p99'] * 1000.0:.2f} ms"
+        f" over {report['replay_count']} replayed goals"
+        f" ({report['sink_records']} sink records)",
     ]
     return "\n".join(lines)
 
@@ -563,6 +578,7 @@ def test_tracing_overhead_within_two_percent_envelope():
     print_report("tracing overhead on warm replay", _tracing_table(report))
     ratio = report["ratio"]
     assert report["replay_count"] > 0, "no replays were traced"
+    assert report["sink_records"] > 0, "the traced arm wrote nothing to its sink"
     # Two-tier gate (see TRACE_REPEATS): the 2% envelope rides on the ratio
     # of noise floors, which isolates the systematic cost on boxes whose
     # pair-to-pair jitter dwarfs 2%; the paired mean still guards, across

@@ -56,6 +56,7 @@ from .benchmarks_data.registry import (
     mutual_problems,
 )
 from .engine.portfolio import PORTFOLIO_PRESETS
+from .engine.suite import solve_suite
 from .harness.report import (
     ascii_cumulative_plot,
     check_time_table,
@@ -71,7 +72,7 @@ from .harness.report import (
     unsolved_classification,
     worker_utilisation_table,
 )
-from .harness.runner import SolveRecord, SuiteResult, run_suite, run_suite_parallel
+from .harness.runner import SolveRecord, SuiteResult, run_suite
 from .search.agenda import strategy_names
 from .search.config import LEMMAS_ALL, LEMMAS_CASE_ONLY, LEMMAS_NONE, ProverConfig
 
@@ -106,7 +107,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
-    solve = commands.add_parser("solve", help="prove one or more named goals")
+    # The prover flags solve, bench and profile share; _prover_config maps
+    # them (and each command's own extras) onto one ProverConfig.
+    prover_flags = argparse.ArgumentParser(add_help=False)
+    prover_flags.add_argument("--timeout", type=float, default=None,
+                              help="per-goal budget in seconds")
+    prover_flags.add_argument("--strategy", choices=strategy_names(), default=None,
+                              help="search strategy for the agenda core (default: dfs)")
+    prover_flags.add_argument("--falsify", action="store_true",
+                              help="ground-test each goal first; refuted goals report "
+                                   "'disproved' with a counterexample and skip proof search")
+    prover_flags.add_argument("--no-compile-rules", action="store_true",
+                              help="disable compiled rewrite dispatch (generic matching; "
+                                   "the benchmarking/parity baseline)")
+
+    solve = commands.add_parser("solve", parents=[prover_flags],
+                                help="prove one or more named goals")
     source = solve.add_mutually_exclusive_group()
     source.add_argument("--suite", choices=sorted(SUITES), default="all",
                         help="built-in suite to look the goal up in (default: all)")
@@ -115,25 +131,17 @@ def build_parser() -> argparse.ArgumentParser:
                        help="goal name; repeatable (required with --suite)")
     solve.add_argument("--hint", action="append", default=[], metavar="EQUATION",
                        help="lemma hint as equation source, e.g. 'add a b === add b a'")
-    solve.add_argument("--timeout", type=float, default=None, help="per-goal budget in seconds")
     solve.add_argument("--max-depth", type=int, default=None)
     solve.add_argument("--lemmas", choices=(LEMMAS_CASE_ONLY, LEMMAS_ALL, LEMMAS_NONE), default=None)
-    solve.add_argument("--strategy", choices=strategy_names(), default=None,
-                       help="search strategy for the agenda core (default: dfs)")
     solve.add_argument("--emit-proofs", action="store_true",
                        help="encode every proof as a portable certificate")
     solve.add_argument("--proof-dir", default=None, metavar="DIR",
                        help="write self-contained certificate files to DIR (implies --emit-proofs)")
-    solve.add_argument("--falsify", action="store_true",
-                       help="ground-test each goal first; refuted goals report "
-                            "'disproved' with a counterexample and skip proof search")
-    solve.add_argument("--no-compile-rules", action="store_true",
-                       help="disable compiled rewrite dispatch (generic matching; "
-                            "the benchmarking/parity baseline)")
     solve.add_argument("--profile", action="store_true",
                        help="print the per-phase time breakdown after each goal")
 
-    bench = commands.add_parser("bench", help="run a benchmark suite on the parallel engine")
+    bench = commands.add_parser("bench", parents=[prover_flags],
+                                help="run a benchmark suite on the parallel engine")
     bench.add_argument("--suite", choices=sorted(SUITES), default="isaplanner")
     bench.add_argument("--jobs", type=int, default=None,
                        help="worker processes (default: CPU count; 0 = serial in-process)")
@@ -142,11 +150,8 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=sorted(PORTFOLIO_PRESETS),
                        help="race a portfolio per goal: 'default' (config knobs) or "
                             "'strategy-race' (dfs vs iddfs vs best-first)")
-    bench.add_argument("--strategy", choices=strategy_names(), default=None,
-                       help="search strategy for the (base) configuration (default: dfs)")
     bench.add_argument("--store", default=None, metavar="PATH",
                        help="JSON-lines result store; warm entries are replayed, not re-solved")
-    bench.add_argument("--timeout", type=float, default=None, help="per-goal budget in seconds")
     bench.add_argument("--limit", type=int, default=None, metavar="N",
                        help="only the first N problems of the suite")
     bench.add_argument("--names", default=None,
@@ -154,17 +159,12 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--plot", action="store_true", help="print the Fig. 7 ASCII cumulative plot")
     bench.add_argument("--emit-proofs", action="store_true",
                        help="workers encode certificates for every proof; persisted in the store")
-    bench.add_argument("--falsify", action="store_true",
-                       help="ground-test each goal before search; refutations are "
-                            "reported (and persisted) as 'disproved' with counterexamples")
-    bench.add_argument("--no-compile-rules", action="store_true",
-                       help="disable compiled rewrite dispatch (generic matching; "
-                            "the benchmarking/parity baseline)")
     bench.add_argument("--profile", action="store_true",
                        help="append the phase-profile and hot-symbol tables to the report")
 
     profile = commands.add_parser(
         "profile",
+        parents=[prover_flags],
         help="run a suite slice serially and print where the prover's time went",
     )
     profile.add_argument("--suite", choices=sorted(SUITES), default="isaplanner")
@@ -172,17 +172,9 @@ def build_parser() -> argparse.ArgumentParser:
                          help="only the first N problems of the suite")
     profile.add_argument("--names", default=None,
                          help="comma-separated problem names to profile (a slice of the suite)")
-    profile.add_argument("--timeout", type=float, default=None,
-                         help="per-goal budget in seconds")
     profile.add_argument("--max-nodes", type=int, default=None, metavar="N",
                          help="deterministic per-goal node budget (replaces the "
                               "wall-clock budget; reproducible profiles)")
-    profile.add_argument("--strategy", choices=strategy_names(), default=None,
-                         help="search strategy for the agenda core (default: dfs)")
-    profile.add_argument("--falsify", action="store_true",
-                         help="ground-test each goal first (times the falsify phase too)")
-    profile.add_argument("--no-compile-rules", action="store_true",
-                         help="profile the generic-matching baseline instead")
     profile.add_argument("--cprofile", type=int, nargs="?", const=25, default=None,
                          metavar="N",
                          help="also run cProfile and print the top N functions "
@@ -341,6 +333,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _prover_config(args) -> ProverConfig:
+    """The :class:`ProverConfig` of the prover flags ``solve``, ``bench`` and
+    ``profile`` share, plus whichever of ``--max-depth``/``--lemmas``/
+    ``--max-nodes``/``--emit-proofs``/``--proof-dir`` the command has."""
+    changes: Dict[str, object] = {}
+    for flag, option in (
+        ("timeout", "timeout"),
+        ("max_depth", "max_depth"),
+        ("lemmas", "lemma_restriction"),
+        ("strategy", "strategy"),
+        ("max_nodes", "max_nodes"),
+    ):
+        value = getattr(args, flag, None)
+        if value is not None:
+            changes[option] = value
+    if "max_nodes" in changes:
+        # A node budget replaces the wall-clock one unless both are given.
+        changes.setdefault("timeout", None)
+    if getattr(args, "emit_proofs", False) or getattr(args, "proof_dir", None) is not None:
+        changes["emit_proofs"] = True
+    if args.falsify:
+        changes["falsify_first"] = True
+    if args.no_compile_rules:
+        changes["compile_rules"] = False
+    return ProverConfig().with_(**changes)
+
+
 # ---------------------------------------------------------------------------
 # solve
 # ---------------------------------------------------------------------------
@@ -370,26 +389,7 @@ def _solve_command(args) -> int:
             return 2
         pairs = [(problems[name].program, problems[name].goal) for name in args.goal]
 
-    emit_proofs = args.emit_proofs or args.proof_dir is not None
-    config = ProverConfig()
-    changes = {}
-    if args.timeout is not None:
-        changes["timeout"] = args.timeout
-    if args.max_depth is not None:
-        changes["max_depth"] = args.max_depth
-    if args.lemmas is not None:
-        changes["lemma_restriction"] = args.lemmas
-    if args.strategy is not None:
-        changes["strategy"] = args.strategy
-    if emit_proofs:
-        changes["emit_proofs"] = True
-    if args.falsify:
-        changes["falsify_first"] = True
-    if args.no_compile_rules:
-        changes["compile_rules"] = False
-    if changes:
-        config = config.with_(**changes)
-
+    config = _prover_config(args)
     if args.proof_dir is not None:
         os.makedirs(args.proof_dir, exist_ok=True)
 
@@ -504,24 +504,14 @@ def _bench_command(args) -> int:
     if not problems:
         print("bench: no problems selected", file=sys.stderr)
         return 2
-    config = ProverConfig()
-    if args.timeout is not None:
-        config = config.with_(timeout=args.timeout)
-    if args.strategy is not None:
-        config = config.with_(strategy=args.strategy)
-    if args.emit_proofs:
-        config = config.with_(emit_proofs=True)
-    if args.falsify:
-        config = config.with_(falsify_first=True)
-    if args.no_compile_rules:
-        config = config.with_(compile_rules=False)
+    config = _prover_config(args)
     serial = args.serial or args.jobs == 0
     started = time.monotonic()
     if serial:
         result = run_suite(problems, config, suite_name=args.suite)
     else:
         variants = PORTFOLIO_PRESETS[args.portfolio](config) if args.portfolio else None
-        result = run_suite_parallel(
+        result = solve_suite(
             problems,
             config,
             suite_name=args.suite,
@@ -553,21 +543,7 @@ def _profile_command(args) -> int:
     if not problems:
         print("profile: no problems selected", file=sys.stderr)
         return 2
-    config = ProverConfig()
-    changes = {}
-    if args.timeout is not None:
-        changes["timeout"] = args.timeout
-    if args.max_nodes is not None:
-        changes["max_nodes"] = args.max_nodes
-        changes.setdefault("timeout", None)
-    if args.strategy is not None:
-        changes["strategy"] = args.strategy
-    if args.falsify:
-        changes["falsify_first"] = True
-    if args.no_compile_rules:
-        changes["compile_rules"] = False
-    if changes:
-        config = config.with_(**changes)
+    config = _prover_config(args)
 
     def run() -> SuiteResult:
         return run_suite(problems, config, suite_name=args.suite)
@@ -734,35 +710,7 @@ def _records_from_store(store, suite: Optional[str]) -> Dict[str, List[SolveReco
         suite_name, _, name = goal_key.partition("/")
         if suite and suite_name != suite:
             continue
-        record = SolveRecord(
-            name=name or goal_key,
-            suite=suite_name,
-            status=str(entry.get("status", "failed")),
-            seconds=float(entry.get("seconds") or 0.0),
-            nodes=int(entry.get("nodes") or 0),
-            subst_attempts=int(entry.get("subst_attempts") or 0),
-            soundness_violations=int(entry.get("soundness_violations") or 0),
-            normalizer_hits=int(entry.get("normalizer_hits") or 0),
-            normalizer_misses=int(entry.get("normalizer_misses") or 0),
-            reason=str(entry.get("reason") or ""),
-            variant=str(entry.get("variant") or ""),
-            strategy=str(entry.get("strategy") or ""),
-            max_agenda_size=int(entry.get("max_agenda_size") or 0),
-            choice_points=int(entry.get("choice_points") or 0),
-            cached=True,
-            certificate=entry.get("certificate"),
-            certificate_seconds=float(entry.get("certificate_seconds") or 0.0),
-            counterexample=entry.get("counterexample"),
-            falsify_seconds=float(entry.get("falsify_seconds") or 0.0),
-            compile_seconds=float(entry.get("compile_seconds") or 0.0),
-            compiled_steps=int(entry.get("compiled_steps") or 0),
-            fallback_steps=int(entry.get("fallback_steps") or 0),
-            hot_symbols=dict(entry.get("hot_symbols") or {}),
-            # Lines written before the phase profiler have neither field;
-            # degrade to empty dicts (the profile table renders them as "-").
-            phase_seconds=dict(entry.get("phase_seconds") or {}),
-            phase_counts=dict(entry.get("phase_counts") or {}),
-        )
+        record = SolveRecord.from_wire(name or goal_key, suite_name, entry, cached=True)
         goals = by_suite.setdefault(suite_name, {})
         # Several configs may have attempted the goal; keep the best outcome
         # (a decisive verdict — proof or refutation — beats a failure, then

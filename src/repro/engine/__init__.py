@@ -18,8 +18,8 @@ The engine turns the fast single-attempt core into suite-level throughput:
   drop-in parallel :func:`~repro.harness.runner.run_suite` — same
   :class:`~repro.harness.runner.SuiteResult`, records in input order.
 
-Entry points: :func:`repro.harness.runner.run_suite_parallel` from code,
-``python -m repro`` from the command line.
+Entry points: :func:`solve_suite` from code, ``python -m repro`` from the
+command line.
 """
 
 from .portfolio import (

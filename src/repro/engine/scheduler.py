@@ -159,7 +159,7 @@ def solve_task(problem, task: dict, hook: Optional[Callable] = None) -> dict:
     Used by the worker loop, and directly by the serial fallback paths (it is
     deliberately free of any multiprocessing machinery).
     """
-    from ..harness.runner import attempt_status  # deferred: keep worker import cost low
+    from ..harness.runner import attempt  # deferred: keep worker import cost low
     from ..search.prover import Prover
 
     if problem is None:
@@ -178,75 +178,14 @@ def solve_task(problem, task: dict, hook: Optional[Callable] = None) -> dict:
         }
     if hook is not None:
         hook(task)  # test seam: may raise, hang, or kill the process
-    config = ProverConfig(**task["config"])
-    if problem.goal.is_conditional and not config.falsify_first:
-        return {"status": "out-of-scope", "reason": "conditional goal"}
     hints = []
     for source in task.get("hints", ()):
         try:
             hints.append(problem.program.parse_equation(source))
         except Exception as error:
             return {"status": "failed", "reason": f"unparsable hint {source!r}: {error}"}
-    prover = Prover(problem.program, config)
-    started = time.perf_counter()
-    if problem.goal.is_conditional:
-        # Reaches the worker only under falsify_first: the goal can be
-        # disproved (premises included) even though it cannot be proved.
-        outcome = prover.prove_goal(problem.goal)
-    else:
-        outcome = prover.prove(
-            problem.goal.equation, goal_name=problem.name, hypotheses=tuple(hints)
-        )
-    elapsed = time.perf_counter() - started
-    stats = outcome.statistics
-    status = attempt_status(outcome, problem.goal.is_conditional)
-    wire = {
-        "status": status,
-        "seconds": elapsed,
-        "nodes": stats.nodes_created,
-        "subst_attempts": stats.subst_attempts,
-        "soundness_violations": stats.soundness_violations,
-        "normalizer_hits": stats.normalizer_hits,
-        "normalizer_misses": stats.normalizer_misses,
-        "reason": outcome.reason,
-        "strategy": stats.strategy,
-        "max_agenda_size": stats.max_agenda_size,
-        "choice_points": stats.choice_points_expanded,
-    }
-    if outcome.certificate is not None:
-        # Certificates are primitive data by construction, so they are the one
-        # representation of a proof that may cross the process boundary — the
-        # terms themselves stay in the worker's bank.
-        wire["certificate"] = outcome.certificate.to_dict()
-        wire["certificate_seconds"] = stats.certificate_seconds
-    if outcome.counterexample is not None:
-        # Counterexamples are primitive data too — the refutation analogue of
-        # a certificate, replayable in any process holding the program.
-        wire["counterexample"] = outcome.counterexample.to_dict()
-    if stats.falsification_seconds:
-        wire["falsify_seconds"] = stats.falsification_seconds
-    if stats.hints_offered:
-        wire["hints_offered"] = stats.hints_offered
-        wire["hint_steps"] = stats.hint_steps
-    if stats.compiled_steps or stats.fallback_steps:
-        wire["compiled_steps"] = stats.compiled_steps
-        wire["fallback_steps"] = stats.fallback_steps
-        if stats.compile_seconds:
-            wire["compile_seconds"] = stats.compile_seconds
-        if stats.rewrite_head_counts:
-            # Only the hottest heads cross the wire: the table consumer ranks
-            # a handful of symbols, not the whole signature.
-            hottest = sorted(
-                stats.rewrite_head_counts.items(), key=lambda item: -item[1]
-            )[:8]
-            wire["hot_symbols"] = dict(hottest)
-    if stats.phase_seconds:
-        # Phase totals are microsecond-resolution floats; rounding keeps the
-        # JSONL store lines compact without losing anything a profile reads.
-        wire["phase_seconds"] = {
-            phase: round(total, 6) for phase, total in stats.phase_seconds.items()
-        }
-        wire["phase_counts"] = dict(stats.phase_counts)
+    record = attempt(Prover(problem.program, ProverConfig(**task["config"])), problem, hints)
+    wire = record.to_wire()
     trace_id = str(task.get("trace") or "")
     if trace_id:
         # Spans cross the process boundary the same way everything else does:
@@ -254,7 +193,7 @@ def solve_task(problem, task: dict, hook: Optional[Callable] = None) -> dict:
         # ``spans`` and forwards them to its tracer; ``store.put`` copies only
         # ``OUTCOME_FIELDS``, so spans can never leak into the result store.
         wall_end = time.time()
-        wall_start = wall_end - elapsed
+        wall_start = wall_end - record.seconds
         solve_span = mint_span_id()
         spans = [
             span_record(
@@ -267,12 +206,12 @@ def solve_task(problem, task: dict, hook: Optional[Callable] = None) -> dict:
                 attrs={
                     "goal": task["key"],
                     "variant": task.get("variant", ""),
-                    "status": status,
+                    "status": record.status,
                 },
             )
         ]
         for phase, phase_start, phase_end in phase_intervals(
-            stats.phase_seconds, wall_start
+            record.phase_seconds, wall_start
         ):
             spans.append(
                 span_record(

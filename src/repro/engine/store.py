@@ -150,7 +150,9 @@ fingerprint anyway, so pre-existing lines no longer match any current run.
 """
 
 #: Fields of an outcome payload persisted per entry (everything else in a line
-#: is key material or provenance).
+#: is key material or provenance): the :class:`~repro.harness.runner.SolveRecord`
+#: fields its wire codec carries, minus ``name``/``suite`` (key material), the
+#: per-run ``worker`` and ``cached``, and the exclusions noted at the end.
 OUTCOME_FIELDS = (
     "status",
     "seconds",

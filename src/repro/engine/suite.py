@@ -1,11 +1,11 @@
 """Suite orchestration: problems × portfolio → worker pool → :class:`SuiteResult`.
 
-This is the layer behind :func:`repro.harness.runner.run_suite_parallel` and
-the ``python -m repro bench`` CLI.  It expands every (unconditional) goal into
-one task per portfolio variant, replays anything the persistent store already
-knows, races the rest as one session on a multiprocess worker pool, and
-reassembles a :class:`~repro.harness.runner.SuiteResult` whose records sit in
-*input order* with the same statuses the serial runner would produce.
+This is the layer behind ``python -m repro bench`` and the proof service.  It
+expands every (unconditional) goal into one task per portfolio variant,
+replays anything the persistent store already knows, races the rest as one
+session on a multiprocess worker pool, and reassembles a
+:class:`~repro.harness.runner.SuiteResult` whose records sit in *input order*
+with the same statuses the serial runner would produce.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import asdict
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..benchmarks_data.registry import BenchmarkProblem
-from ..harness.runner import SolveRecord, SuiteResult
+from ..harness.runner import OUT_OF_SCOPE, SolveRecord, SuiteResult
 from ..search.config import ProverConfig
 from .portfolio import PortfolioVariant, select_winner, single_variant
 from .scheduler import DEFAULT_RESOLVER, STATUS_CANCELLED, PoolSession, Spec, Task, WorkerPool
@@ -102,7 +102,17 @@ def solve_suite(
     trace: str = "",
     trace_parent: str = "",
 ) -> SuiteResult:
-    """Solve a suite on the parallel engine; see :func:`run_suite_parallel`.
+    """Solve a suite on the multiprocess proof engine.
+
+    The returned :class:`SuiteResult` carries records in *input order* and the
+    per-problem statuses of the serial :func:`~repro.harness.runner.run_suite`
+    — only timing (and the ``worker``/``variant``/``cached`` provenance
+    fields) differ.  ``jobs`` is the worker-pool size (default: the CPU
+    count).  ``variants`` is an optional sequence of :class:`PortfolioVariant`
+    raced per goal (first proof wins).  ``store`` is a path or
+    :class:`ResultStore` memoising outcomes across runs.  ``resolver`` names
+    the problem resolver workers rebuild problems with, and ``worker_hook`` is
+    a test seam run in the worker before each attempt.
 
     ``hypotheses`` maps problem names to lemma hints given as
     :class:`~repro.core.equations.Equation` objects *or* equation source
@@ -143,38 +153,12 @@ def solve_suite(
 
     def decide(state: _GoalState, variant: str, outcome: dict) -> None:
         state.decided = True
-        record = SolveRecord(
-            name=state.problem.name,
-            suite=state.problem.suite,
-            status=outcome.get("status", "failed"),
-            seconds=float(outcome.get("seconds") or 0.0),
-            nodes=int(outcome.get("nodes") or 0),
-            subst_attempts=int(outcome.get("subst_attempts") or 0),
-            soundness_violations=int(outcome.get("soundness_violations") or 0),
-            normalizer_hits=int(outcome.get("normalizer_hits") or 0),
-            normalizer_misses=int(outcome.get("normalizer_misses") or 0),
-            reason=str(outcome.get("reason") or ""),
-            strategy=str(outcome.get("strategy") or ""),
-            max_agenda_size=int(outcome.get("max_agenda_size") or 0),
-            choice_points=int(outcome.get("choice_points") or 0),
-            worker=int(outcome.get("worker", -1)),
+        record = SolveRecord.from_wire(
+            state.problem.name,
+            state.problem.suite,
+            outcome,
             variant=variant,
             cached=variant in state.cached_variants,
-            certificate=outcome.get("certificate"),
-            certificate_seconds=float(outcome.get("certificate_seconds") or 0.0),
-            counterexample=outcome.get("counterexample"),
-            falsify_seconds=float(outcome.get("falsify_seconds") or 0.0),
-            compile_seconds=float(outcome.get("compile_seconds") or 0.0),
-            compiled_steps=int(outcome.get("compiled_steps") or 0),
-            fallback_steps=int(outcome.get("fallback_steps") or 0),
-            hot_symbols=dict(outcome.get("hot_symbols") or {}),
-            hints_offered=int(outcome.get("hints_offered") or 0),
-            hint_steps=int(outcome.get("hint_steps") or 0),
-            queued_seconds=float(outcome.get("queued_seconds") or 0.0),
-            # Absent on store lines predating the phase profiler: degrade to
-            # empty dicts, which every report table renders as "-".
-            phase_seconds=dict(outcome.get("phase_seconds") or {}),
-            phase_counts=dict(outcome.get("phase_counts") or {}),
         )
         spent_on_store = store_seconds.get(state.index)
         if spent_on_store:
@@ -199,12 +183,7 @@ def solve_suite(
 
     for index, problem in enumerate(problems):
         if problem.goal.is_conditional and not falsify_enabled:
-            record = SolveRecord(
-                name=problem.name,
-                suite=problem.suite,
-                status="out-of-scope",
-                reason="conditional goal",
-            )
+            record = SolveRecord.from_wire(problem.name, problem.suite, OUT_OF_SCOPE)
             records[index] = record
             if progress is not None:
                 progress(record)

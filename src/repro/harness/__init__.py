@@ -1,4 +1,4 @@
-"""Benchmark harness: suite runners (serial and parallel) and reporting."""
+"""Benchmark harness: the serial suite runner, solve records and reporting."""
 
 from .report import (
     ascii_cumulative_plot,
@@ -16,10 +16,10 @@ from .report import (
     unsolved_classification,
     worker_utilisation_table,
 )
-from .runner import SolveRecord, SuiteResult, cumulative_curve, run_suite, run_suite_parallel
+from .runner import SolveRecord, SuiteResult, cumulative_curve, run_suite
 
 __all__ = [
-    "run_suite", "run_suite_parallel", "SuiteResult", "SolveRecord", "cumulative_curve",
+    "run_suite", "SuiteResult", "SolveRecord", "cumulative_curve",
     "format_table", "isaplanner_summary_table", "tool_comparison_table",
     "ascii_cumulative_plot", "unsolved_classification",
     "normalizer_cache_table", "suite_cache_stats",

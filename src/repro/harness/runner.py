@@ -11,8 +11,8 @@ Fig. 7.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import MISSING, dataclass, field, fields
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..benchmarks_data.registry import BenchmarkProblem
 from ..core.equations import Equation
@@ -20,10 +20,7 @@ from ..search.config import ProverConfig
 from ..search.prover import Prover
 from ..search.result import ProofResult
 
-__all__ = [
-    "SolveRecord", "SuiteResult", "attempt_status", "run_suite", "run_suite_parallel",
-    "cumulative_curve",
-]
+__all__ = ["SolveRecord", "SuiteResult", "attempt", "run_suite", "cumulative_curve"]
 
 
 @dataclass
@@ -134,6 +131,68 @@ class SolveRecord:
     def milliseconds(self) -> float:
         return self.seconds * 1000.0
 
+    # -- the wire codec: worker pipe and store line -------------------------------
+
+    def to_wire(self) -> dict:
+        """The record's outcome as primitive data, for the pipe and the store.
+
+        ``name`` and ``suite`` stay out (they are key material), so do fields
+        holding their default (every reader defaults them), and ``status`` is
+        always in.  Only the hottest 8 ``hot_symbols`` cross the wire (a table
+        ranks a handful of heads, not the signature), and phase totals are
+        rounded to the microsecond to keep store lines compact.
+        """
+        wire: Dict[str, object] = {"status": self.status}
+        for name, default, _ in _WIRE_FIELDS:
+            value = getattr(self, name)
+            if value != default:
+                wire[name] = value
+        if self.hot_symbols:
+            hottest = sorted(self.hot_symbols.items(), key=lambda item: -item[1])[:8]
+            wire["hot_symbols"] = dict(hottest)
+        if self.phase_seconds:
+            wire["phase_seconds"] = {
+                phase: round(total, 6) for phase, total in self.phase_seconds.items()
+            }
+        return wire
+
+    @classmethod
+    def from_wire(cls, name: str, suite: str, data: dict, **provenance) -> "SolveRecord":
+        """Decode a :meth:`to_wire` payload or a store line into a record.
+
+        Absent or ``None`` fields take their default, so lines written before
+        a field existed replay benignly; keys that are not record fields (the
+        store's key material, ``spans``) are ignored.  ``provenance``
+        (``variant``, ``cached``, …) overrides what the payload says.
+        """
+        values = {"status": str(data.get("status") or "failed")}
+        for field_name, default, coerce in _WIRE_FIELDS:
+            value = data.get(field_name)
+            values[field_name] = value if coerce is None else coerce(
+                default if value is None else value
+            )
+        values.update(provenance)
+        return cls(name=name, suite=suite, **values)
+
+
+def _wire_field_table() -> Tuple[Tuple[str, object, Optional[type]], ...]:
+    """``(field, default, coercion)`` for every record field but the key
+    material (``name``, ``suite``) and ``status``; ``None`` coercion leaves
+    primitive payloads (certificates, counterexamples) as they are."""
+    table = []
+    for spec in fields(SolveRecord):
+        if spec.name in ("name", "suite", "status"):
+            continue
+        default = spec.default_factory() if spec.default is MISSING else spec.default
+        table.append((spec.name, default, None if default is None else type(default)))
+    return tuple(table)
+
+
+_WIRE_FIELDS = _wire_field_table()
+
+OUT_OF_SCOPE = {"status": "out-of-scope", "reason": "conditional goal"}
+"""The wire of a conditional goal no prover attempts (the falsifier is off)."""
+
 
 @dataclass
 class SuiteResult:
@@ -206,21 +265,69 @@ class SuiteResult:
         }
 
 
-def attempt_status(outcome: ProofResult, conditional: bool) -> str:
-    """The record status of one finished attempt (shared by every runner).
+def attempt(
+    prover: Prover, problem: BenchmarkProblem, hints: Sequence[Equation] = ()
+) -> SolveRecord:
+    """Attempt one problem with ``prover`` and record the outcome.
 
-    A conditional goal reaches the prover only for the falsifier, so short of
-    a refutation it stays ``out-of-scope``.
+    This is every runner's one attempt: the serial :func:`run_suite` calls it
+    in-process and :func:`repro.engine.scheduler.solve_task` in a worker.  A
+    conditional goal reaches the prover only for the falsifier: it can be
+    refuted (premises included) but never proved, so short of a refutation it
+    stays ``out-of-scope``.
     """
+    goal = problem.goal
+    if goal.is_conditional and not prover.config.falsify_first:
+        return SolveRecord.from_wire(problem.name, problem.suite, OUT_OF_SCOPE)
+    started = time.perf_counter()
+    if goal.is_conditional:
+        outcome: ProofResult = prover.prove_goal(goal)
+    else:
+        outcome = prover.prove(goal.equation, goal_name=problem.name, hypotheses=tuple(hints))
+    elapsed = time.perf_counter() - started
+    stats = outcome.statistics
     if outcome.proved:
-        return "proved"
-    if outcome.disproved:
-        return "disproved"
-    if conditional:
-        return "out-of-scope"
-    if outcome.statistics.timed_out:
-        return "timeout"
-    return "failed"
+        status = "proved"
+    elif outcome.disproved:
+        status = "disproved"
+    elif goal.is_conditional:
+        status = "out-of-scope"
+    elif stats.timed_out:
+        status = "timeout"
+    else:
+        status = "failed"
+    return SolveRecord(
+        name=problem.name,
+        suite=problem.suite,
+        status=status,
+        seconds=elapsed,
+        nodes=stats.nodes_created,
+        subst_attempts=stats.subst_attempts,
+        soundness_violations=stats.soundness_violations,
+        normalizer_hits=stats.normalizer_hits,
+        normalizer_misses=stats.normalizer_misses,
+        reason=outcome.reason,
+        strategy=stats.strategy,
+        max_agenda_size=stats.max_agenda_size,
+        choice_points=stats.choice_points_expanded,
+        # Certificates and counterexamples are primitive data by construction,
+        # so they are the one form of a verdict that may cross a process
+        # boundary; the terms themselves stay in the attempt's bank.
+        certificate=outcome.certificate.to_dict() if outcome.certificate is not None else None,
+        certificate_seconds=stats.certificate_seconds,
+        counterexample=(
+            outcome.counterexample.to_dict() if outcome.counterexample is not None else None
+        ),
+        falsify_seconds=stats.falsification_seconds,
+        compile_seconds=stats.compile_seconds,
+        compiled_steps=stats.compiled_steps,
+        fallback_steps=stats.fallback_steps,
+        hot_symbols=dict(stats.rewrite_head_counts),
+        hints_offered=stats.hints_offered,
+        hint_steps=stats.hint_steps,
+        phase_seconds=dict(stats.phase_seconds),
+        phase_counts=dict(stats.phase_counts),
+    )
 
 
 def run_suite(
@@ -235,6 +342,7 @@ def run_suite(
     ``hypotheses`` optionally maps problem names to hint lemmas (used by the
     hinted-properties experiment).  ``progress`` is an optional callback
     invoked after each problem (used by the example scripts to print progress).
+    For the multiprocess engine see :func:`repro.engine.solve_suite`.
     """
     config = config or ProverConfig()
     name = suite_name or (problems[0].suite if problems else "suite")
@@ -248,107 +356,12 @@ def run_suite(
         prover = provers.get(fingerprint)
         if prover is None:
             prover = provers[fingerprint] = Prover(problem.program, config)
-        if problem.goal.is_conditional and not config.falsify_first:
-            record = SolveRecord(
-                name=problem.name,
-                suite=problem.suite,
-                status="out-of-scope",
-                reason="conditional goal",
-            )
-        else:
-            hints = tuple(hypotheses.get(problem.name, ())) if hypotheses else ()
-            started = time.perf_counter()
-            if problem.goal.is_conditional:
-                # Conditional goals reach the prover only for the falsifier:
-                # ``prove_goal`` tests the premised goal and otherwise reports
-                # it out of scope exactly as before.
-                outcome: ProofResult = prover.prove_goal(problem.goal)
-            else:
-                outcome = prover.prove(
-                    problem.goal.equation, goal_name=problem.name, hypotheses=hints
-                )
-            elapsed = time.perf_counter() - started
-            record = SolveRecord(
-                name=problem.name,
-                suite=problem.suite,
-                status=attempt_status(outcome, problem.goal.is_conditional),
-                seconds=elapsed,
-                nodes=outcome.statistics.nodes_created,
-                subst_attempts=outcome.statistics.subst_attempts,
-                soundness_violations=outcome.statistics.soundness_violations,
-                normalizer_hits=outcome.statistics.normalizer_hits,
-                normalizer_misses=outcome.statistics.normalizer_misses,
-                reason=outcome.reason,
-                strategy=outcome.statistics.strategy,
-                max_agenda_size=outcome.statistics.max_agenda_size,
-                choice_points=outcome.statistics.choice_points_expanded,
-                certificate=(
-                    outcome.certificate.to_dict() if outcome.certificate is not None else None
-                ),
-                certificate_seconds=outcome.statistics.certificate_seconds,
-                counterexample=(
-                    outcome.counterexample.to_dict()
-                    if outcome.counterexample is not None
-                    else None
-                ),
-                falsify_seconds=outcome.statistics.falsification_seconds,
-                compile_seconds=outcome.statistics.compile_seconds,
-                compiled_steps=outcome.statistics.compiled_steps,
-                fallback_steps=outcome.statistics.fallback_steps,
-                hot_symbols=dict(outcome.statistics.rewrite_head_counts),
-                hints_offered=outcome.statistics.hints_offered,
-                hint_steps=outcome.statistics.hint_steps,
-                phase_seconds=dict(outcome.statistics.phase_seconds),
-                phase_counts=dict(outcome.statistics.phase_counts),
-            )
+        hints = hypotheses.get(problem.name, ()) if hypotheses else ()
+        record = attempt(prover, problem, hints)
         result.records.append(record)
         if progress is not None:
             progress(record)
     return result
-
-
-def run_suite_parallel(
-    problems: Sequence[BenchmarkProblem],
-    config: Optional[ProverConfig] = None,
-    suite_name: Optional[str] = None,
-    hypotheses: Optional[Dict[str, Sequence[Equation]]] = None,
-    progress: Optional[Callable[[SolveRecord], None]] = None,
-    *,
-    jobs: Optional[int] = None,
-    variants=None,
-    store=None,
-    resolver=None,
-    worker_hook=None,
-    hard_kill_grace: float = 5.0,
-) -> SuiteResult:
-    """Run a suite on the multiprocess proof engine (see :mod:`repro.engine`).
-
-    The returned :class:`SuiteResult` carries records in *input order* and the
-    per-problem statuses of the serial :func:`run_suite` — only timing (and the
-    ``worker``/``variant``/``cached`` provenance fields) differ.
-
-    ``jobs`` is the worker-pool size (default: the CPU count).  ``variants`` is
-    an optional sequence of :class:`repro.engine.PortfolioVariant` raced per
-    goal (first proof wins).  ``store`` is a path or
-    :class:`repro.engine.ResultStore` memoising outcomes across runs.
-    ``resolver`` and ``worker_hook`` are advanced hooks documented on
-    :func:`repro.engine.suite.solve_suite`.
-    """
-    from ..engine.suite import solve_suite  # local import: engine builds on the harness
-
-    return solve_suite(
-        problems,
-        config=config,
-        suite_name=suite_name,
-        hypotheses=hypotheses,
-        progress=progress,
-        jobs=jobs,
-        variants=variants,
-        store=store,
-        resolver=resolver,
-        worker_hook=worker_hook,
-        hard_kill_grace=hard_kill_grace,
-    )
 
 
 def cumulative_curve(result: SuiteResult) -> List[Tuple[float, int]]:

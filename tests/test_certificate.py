@@ -18,7 +18,8 @@ from repro.core.exceptions import CertificateError
 from repro.core.interning import TermBank, use_bank
 from repro.core.terms import Sym, Var, apply_term
 from repro.core.types import DataTy
-from repro.harness import run_suite, run_suite_parallel
+from repro.engine import solve_suite
+from repro.harness import run_suite
 from repro.proofs.certificate import (
     CERTIFICATE_VERSION,
     ProofCertificate,
@@ -361,7 +362,7 @@ class TestEngineIntegration:
     ):
         config = EMIT.with_(timeout=2.0)
         path = str(tmp_path / "store.jsonl")
-        cold = run_suite_parallel(slice_problems, config, jobs=2, store=path)
+        cold = solve_suite(slice_problems, config, jobs=2, store=path)
         source = slice_problems[0].program.source
         checker = CertificateChecker(source, name="isaplanner")
         proved = [r for r in cold.records if r.proved]
@@ -371,7 +372,7 @@ class TestEngineIntegration:
             report = checker.check(record.certificate)
             assert report.ok, (record.name, report.issues)
         # Warm replay: identical certificate bytes, no workers spawned.
-        warm = run_suite_parallel(slice_problems, config, jobs=2, store=path)
+        warm = solve_suite(slice_problems, config, jobs=2, store=path)
         assert warm.engine.worker_stats == {}
         for record in proved:
             twin = warm.record(record.name)
@@ -383,7 +384,7 @@ class TestEngineIntegration:
     def test_portfolio_winner_keeps_its_certificate(self, slice_problems):
         from repro.engine.portfolio import default_portfolio
 
-        result = run_suite_parallel(
+        result = solve_suite(
             [p for p in slice_problems if p.name == "prop_01"],
             EMIT.with_(timeout=2.0),
             jobs=2,

@@ -5,8 +5,14 @@ import multiprocessing
 import pytest
 
 from repro.benchmarks_data import isaplanner_problems
-from repro.engine import PortfolioVariant, default_portfolio, select_winner, single_variant
-from repro.harness import portfolio_winner_table, run_suite_parallel
+from repro.engine import (
+    PortfolioVariant,
+    default_portfolio,
+    select_winner,
+    single_variant,
+    solve_suite,
+)
+from repro.harness import portfolio_winner_table
 from repro.search import LEMMAS_ALL, LEMMAS_NONE, ProverConfig
 
 FORK_AVAILABLE = "fork" in multiprocessing.get_all_start_methods()
@@ -41,7 +47,7 @@ class TestPortfolioConstruction:
         config = ProverConfig(timeout=1.0)
         variants = (PortfolioVariant("same", config), PortfolioVariant("same", config))
         with pytest.raises(ValueError):
-            run_suite_parallel([], config, variants=variants)
+            solve_suite([], config, variants=variants)
 
 
 class TestSelectWinner:
@@ -89,7 +95,7 @@ class TestPortfolioRacing:
             PortfolioVariant("no-lemmas", config.with_(lemma_restriction=LEMMAS_NONE)),
             PortfolioVariant("paper-default", config),
         )
-        result = run_suite_parallel(problems, config, jobs=2, variants=variants)
+        result = solve_suite(problems, config, jobs=2, variants=variants)
         record = result.record("prop_01")
         assert record.proved
         assert record.variant == "paper-default"
@@ -98,7 +104,7 @@ class TestPortfolioRacing:
         wanted = ("prop_01", "prop_06", "prop_11")
         problems = [p for p in isaplanner_problems() if p.name in wanted]
         config = ProverConfig(timeout=5.0)
-        result = run_suite_parallel(
+        result = solve_suite(
             problems, config, jobs=2, variants=default_portfolio(config)
         )
         assert [r.name for r in result.records] == [p.name for p in problems]
@@ -109,7 +115,7 @@ class TestPortfolioRacing:
     def test_winner_table_renders(self):
         problems = [p for p in isaplanner_problems() if p.name in ("prop_01", "prop_06")]
         config = ProverConfig(timeout=5.0)
-        result = run_suite_parallel(
+        result = solve_suite(
             problems, config, jobs=2, variants=default_portfolio(config)
         )
         table = portfolio_winner_table(result)

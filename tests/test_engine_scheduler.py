@@ -1,4 +1,4 @@
-"""Tests for the multiprocess worker pool and ``run_suite_parallel``.
+"""Tests for the multiprocess worker pool and ``solve_suite``.
 
 The parity tests use generous per-goal budgets so that no status sits near the
 failed-vs-timeout wall-clock boundary (CPU contention inflates search times;
@@ -17,9 +17,9 @@ from multiprocessing.connection import wait as wait_for_events
 import pytest
 
 from repro.benchmarks_data import isaplanner_problems
-from repro.engine import Task, load_spec, solve_task
+from repro.engine import Task, load_spec, solve_suite, solve_task
 from repro.engine.scheduler import WorkerPool
-from repro.harness import run_suite, run_suite_parallel, worker_utilisation_table
+from repro.harness import run_suite, worker_utilisation_table
 from repro.search import ProverConfig
 
 FORK_AVAILABLE = "fork" in multiprocessing.get_all_start_methods()
@@ -98,7 +98,7 @@ class TestSolveTask:
 @pytest.mark.skipif(not FORK_AVAILABLE, reason="engine tests rely on the fork start method")
 class TestRunSuiteParallel:
     def test_statuses_and_order_match_serial(self, subset_problems, serial_result):
-        parallel = run_suite_parallel(
+        parallel = solve_suite(
             subset_problems, ProverConfig(timeout=5.0), suite_name="subset", jobs=2
         )
         assert [r.name for r in parallel.records] == [r.name for r in serial_result.records]
@@ -107,7 +107,7 @@ class TestRunSuiteParallel:
         ]
 
     def test_summary_counts_match_serial(self, subset_problems, serial_result):
-        parallel = run_suite_parallel(
+        parallel = solve_suite(
             subset_problems, ProverConfig(timeout=5.0), suite_name="subset", jobs=3
         )
         serial_summary = serial_result.summary()
@@ -116,7 +116,7 @@ class TestRunSuiteParallel:
             assert parallel_summary[key] == serial_summary[key]
 
     def test_records_carry_worker_provenance(self, subset_problems):
-        parallel = run_suite_parallel(subset_problems, ProverConfig(timeout=5.0), jobs=2)
+        parallel = solve_suite(subset_problems, ProverConfig(timeout=5.0), jobs=2)
         attempted = [r for r in parallel.records if r.status != "out-of-scope"]
         assert attempted and all(r.worker >= 0 for r in attempted)
         assert all(r.variant == "paper-default" for r in attempted)
@@ -125,7 +125,7 @@ class TestRunSuiteParallel:
 
     def test_utilisation_lists_every_private_slot(self, subset_problems):
         """A batch reports one row per worker of its pool, idle ones included."""
-        parallel = run_suite_parallel(subset_problems, ProverConfig(timeout=5.0), jobs=3)
+        parallel = solve_suite(subset_problems, ProverConfig(timeout=5.0), jobs=3)
         assert sorted(parallel.engine.worker_stats) == [0, 1, 2]
         assert sum(s["tasks"] for s in parallel.engine.worker_stats.values()) == 5
         table = worker_utilisation_table(parallel)
@@ -133,7 +133,7 @@ class TestRunSuiteParallel:
 
     def test_progress_callback_sees_every_problem(self, subset_problems):
         seen = []
-        run_suite_parallel(
+        solve_suite(
             subset_problems, ProverConfig(timeout=5.0), jobs=2, progress=seen.append
         )
         assert sorted(r.name for r in seen) == sorted(p.name for p in subset_problems)
@@ -142,13 +142,13 @@ class TestRunSuiteParallel:
         problems = [p for p in isaplanner_problems() if p.name == "prop_54"]
         program = problems[0].program
         hints = {"prop_54": [program.parse_equation("add a b === add b a")]}
-        result = run_suite_parallel(
+        result = solve_suite(
             problems, ProverConfig(timeout=10.0), jobs=1, hypotheses=hints
         )
         assert result.record("prop_54").proved
 
     def test_empty_suite(self):
-        result = run_suite_parallel([], ProverConfig(timeout=1.0), suite_name="empty", jobs=2)
+        result = solve_suite([], ProverConfig(timeout=1.0), suite_name="empty", jobs=2)
         assert result.total == 0
         assert result.summary()["solved"] == 0
 
@@ -156,7 +156,7 @@ class TestRunSuiteParallel:
 @pytest.mark.skipif(not FORK_AVAILABLE, reason="engine tests rely on the fork start method")
 class TestCrashIsolation:
     def test_worker_crash_loses_only_its_goal(self, subset_problems):
-        result = run_suite_parallel(
+        result = solve_suite(
             subset_problems,
             ProverConfig(timeout=5.0),
             jobs=2,
@@ -174,7 +174,7 @@ class TestCrashIsolation:
 
     def test_hung_worker_is_hard_killed(self):
         problems = [p for p in isaplanner_problems() if p.name in ("prop_01", "prop_11")]
-        result = run_suite_parallel(
+        result = solve_suite(
             problems,
             ProverConfig(timeout=0.3),
             jobs=2,
@@ -223,7 +223,7 @@ class TestSchedulerDirectly:
         finally:
             pool.close()
         # the batch API reports an empty run the same way
-        assert run_suite_parallel([], jobs=2).engine.worker_stats == {}
+        assert solve_suite([], jobs=2).engine.worker_stats == {}
 
     def test_program_fingerprint_mismatch_fails_the_task(self):
         """A resolver rebuilding a *different* program must not silently solve."""

@@ -6,8 +6,7 @@ import os
 import pytest
 
 from repro.benchmarks_data import isaplanner_problems, isaplanner_program, mutual_program
-from repro.engine import STORE_SCHEMA_VERSION, ResultStore, config_fingerprint
-from repro.harness import run_suite_parallel
+from repro.engine import STORE_SCHEMA_VERSION, ResultStore, config_fingerprint, solve_suite
 from repro.search import ProverConfig
 
 
@@ -187,9 +186,9 @@ class TestWarmStoreRuns:
     def test_second_run_resolves_nothing(self, problems, tmp_path):
         path = str(tmp_path / "store.jsonl")
         config = ProverConfig(timeout=2.0)
-        cold = run_suite_parallel(problems, config, jobs=1, store=path)
+        cold = solve_suite(problems, config, jobs=1, store=path)
         assert not any(r.cached for r in cold.records)
-        warm = run_suite_parallel(problems, config, jobs=1, store=path)
+        warm = solve_suite(problems, config, jobs=1, store=path)
         assert all(r.cached for r in warm.records)
         assert [r.status for r in warm.records] == [r.status for r in cold.records]
         # nothing was dispatched: the scheduler never spawned a worker
@@ -197,8 +196,8 @@ class TestWarmStoreRuns:
 
     def test_changed_config_invalidates_the_store(self, problems, tmp_path):
         path = str(tmp_path / "store.jsonl")
-        run_suite_parallel(problems, ProverConfig(timeout=2.0), jobs=1, store=path)
-        rerun = run_suite_parallel(problems, ProverConfig(timeout=3.0), jobs=1, store=path)
+        solve_suite(problems, ProverConfig(timeout=2.0), jobs=1, store=path)
+        rerun = solve_suite(problems, ProverConfig(timeout=3.0), jobs=1, store=path)
         assert not any(r.cached for r in rerun.records)
 
     def test_hints_are_part_of_the_store_identity(self, tmp_path):
@@ -206,19 +205,19 @@ class TestWarmStoreRuns:
         path = str(tmp_path / "store.jsonl")
         problems = [p for p in isaplanner_problems() if p.name == "prop_54"]
         config = ProverConfig(timeout=0.5)
-        hintless = run_suite_parallel(problems, config, jobs=1, store=path)
+        hintless = solve_suite(problems, config, jobs=1, store=path)
         assert not hintless.record("prop_54").proved
         # Same config, hints added: must be attempted (and proved via the
         # hint), not replayed from the hintless "timeout" entry.
         hints = {"prop_54": ["add a b === add b a"]}
-        hinted = run_suite_parallel(problems, config, jobs=1, store=path, hypotheses=hints)
+        hinted = solve_suite(problems, config, jobs=1, store=path, hypotheses=hints)
         assert not hinted.record("prop_54").cached
         assert hinted.record("prop_54").proved
         # And the hinted outcome replays only for hinted re-runs.
-        rerun = run_suite_parallel(problems, config, jobs=1, store=path, hypotheses=hints)
+        rerun = solve_suite(problems, config, jobs=1, store=path, hypotheses=hints)
         assert rerun.record("prop_54").cached
         assert rerun.record("prop_54").proved
-        hintless_rerun = run_suite_parallel(problems, config, jobs=1, store=path)
+        hintless_rerun = solve_suite(problems, config, jobs=1, store=path)
         assert hintless_rerun.record("prop_54").cached
         assert not hintless_rerun.record("prop_54").proved
 
@@ -234,11 +233,11 @@ class TestPhaseProfileRoundTrip:
     def test_phase_seconds_survive_the_store_round_trip(self, problems, tmp_path):
         path = str(tmp_path / "store.jsonl")
         config = ProverConfig(timeout=2.0)
-        cold = run_suite_parallel(problems, config, jobs=1, store=path)
+        cold = solve_suite(problems, config, jobs=1, store=path)
         assert any(sum(r.phase_seconds.values()) > 0 for r in cold.records)
         assert any(r.phase_counts for r in cold.records)
 
-        warm = run_suite_parallel(problems, config, jobs=1, store=path)
+        warm = solve_suite(problems, config, jobs=1, store=path)
         assert all(r.cached for r in warm.records)
         for before, after in zip(cold.records, warm.records):
             # The "store" phase is accounted per run (probe/put time of *this*
@@ -254,7 +253,7 @@ class TestPhaseProfileRoundTrip:
 
         path = str(tmp_path / "store.jsonl")
         config = ProverConfig(timeout=2.0)
-        run_suite_parallel(problems, config, jobs=1, store=path)
+        solve_suite(problems, config, jobs=1, store=path)
 
         # Rewrite every line to the pre-profiler shape: no phase_seconds, no
         # phase_counts, no hot_symbols — exactly what an old store contains.
@@ -266,7 +265,7 @@ class TestPhaseProfileRoundTrip:
                     entry.pop(field, None)
                 handle.write(json.dumps(entry) + "\n")
 
-        warm = run_suite_parallel(problems, config, jobs=1, store=path)
+        warm = solve_suite(problems, config, jobs=1, store=path)
         assert all(r.cached for r in warm.records)
         for record in warm.records:
             assert not record.phase_counts
