@@ -18,12 +18,11 @@ Two workloads over the IsaPlanner prelude:
 * **single-term evaluation** — normalise a family of closed terms one by one,
   the apples-to-apples comparison without the compile-once amortisation.
 
-Both baselines pin ``compile_rules=False``: this benchmark measures the
-evaluator against the *historical* generic-matching oracle it replaced, a
-fixed yardstick.  The compiled rewrite dispatcher narrows the gap from the
-normaliser side — that win is measured separately (and against its own
-baseline) in ``bench_compiled_rewriting.py``; letting it drift into this
-baseline would conflate the two claims.
+Both baselines run the :class:`~repro.rewriting.reduction.Normalizer`, the
+generic-matching oracle the evaluator replaced and the one rewrite dispatch
+there is, so the yardstick is the real alternative.  (Compiled rewrite
+dispatch, which once narrowed the gap from the normaliser side, was deleted:
+end to end it read within noise of generic dispatch.)
 
 Run directly (``PYTHONPATH=src python benchmarks/bench_evaluator.py``) for the
 report, or through pytest for the asserted ≥10× speedup on conjecture
@@ -111,9 +110,9 @@ def _test_normalizer(program, equation, variables, instances) -> int:
     A fresh caching normaliser per equation, exactly as ``check_equation``
     always used (the cache persists across instances, so repeated subterm
     normal forms are already amortised — this is the old *fast* path, not a
-    strawman).  Generic dispatch pinned: see the module docstring.
+    strawman).
     """
-    normalizer = Normalizer(program.rules, compile_rules=False)
+    normalizer = Normalizer(program.rules)
     value_terms = {}
 
     def term_of(value):
@@ -225,9 +224,8 @@ def run_single_term_benchmark(repeats: int = 5) -> Tuple[str, float, float]:
     def normalised() -> None:
         # A fresh normaliser per round: closed-term evaluation in a loop is
         # what the explorer's candidate filter did before the rewire, and each
-        # new candidate brings unseen terms to the cache.  Generic dispatch
-        # pinned: see the module docstring.
-        normalizer = Normalizer(program.rules, compile_rules=False)
+        # new candidate brings unseen terms to the cache.
+        normalizer = Normalizer(program.rules)
         for term in terms:
             normalizer.normalize(term)
 

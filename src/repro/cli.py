@@ -60,7 +60,6 @@ from .engine.suite import solve_suite
 from .harness.report import (
     ascii_cumulative_plot,
     check_time_table,
-    compile_summary_table,
     counterexample_table,
     format_table,
     hot_symbol_table,
@@ -117,9 +116,6 @@ def build_parser() -> argparse.ArgumentParser:
     prover_flags.add_argument("--falsify", action="store_true",
                               help="ground-test each goal first; refuted goals report "
                                    "'disproved' with a counterexample and skip proof search")
-    prover_flags.add_argument("--no-compile-rules", action="store_true",
-                              help="disable compiled rewrite dispatch (generic matching; "
-                                   "the benchmarking/parity baseline)")
 
     solve = commands.add_parser("solve", parents=[prover_flags],
                                 help="prove one or more named goals")
@@ -250,8 +246,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--library", default=None, metavar="PATH",
                        help="lemma library; certified proofs are learned and offered as hints")
     serve.add_argument("--warm-cache-size", type=int, default=8, metavar="N",
-                       help="theories kept resident (elaborated program, compiled "
-                            "rewrites, evaluator); LRU beyond N (default: 8)")
+                       help="theories kept resident (elaborated program, evaluator, "
+                            "checker); LRU beyond N (default: 8)")
     serve.add_argument("--jobs", type=int, default=None,
                        help="resident worker processes (default: CPU count)")
     serve.add_argument("--timeout", type=float, default=None,
@@ -355,8 +351,6 @@ def _prover_config(args) -> ProverConfig:
         changes["emit_proofs"] = True
     if args.falsify:
         changes["falsify_first"] = True
-    if args.no_compile_rules:
-        changes["compile_rules"] = False
     return ProverConfig().with_(**changes)
 
 
@@ -478,9 +472,6 @@ def _print_suite_tables(result: SuiteResult, args, wall: float, parallel: bool, 
         print(counterexample_table(result))
     print("\nper-strategy summary:")
     print(strategy_summary_table(result))
-    if any(r.compiled_steps or r.fallback_steps for r in result.records):
-        print("\ncompiled rewrite dispatch:")
-        print(compile_summary_table(result))
     if getattr(args, "profile", False):
         print("\nphase profile (exclusive time):")
         print(phase_profile_table(result))
@@ -563,7 +554,7 @@ def _profile_command(args) -> int:
     print(f"\nwall-clock: {wall:.3f} s ({len(problems)} goal(s), serial)")
     print("\nphase profile (exclusive time):")
     print(phase_profile_table(result))
-    print("\nhottest symbols (rewrite steps under compiled dispatch):")
+    print("\nhottest symbols (rewrite steps):")
     print(hot_symbol_table(result))
     if args.cprofile is not None:
         print(f"\ncProfile: top {args.cprofile} function(s) by cumulative time:")
@@ -754,9 +745,6 @@ def _report_command(args) -> int:
         if any(r.disproved for r in result.records):
             print("\ncounterexamples:")
             print(counterexample_table(result))
-        if any(r.compiled_steps or r.fallback_steps for r in result.records):
-            print("\ncompiled rewrite dispatch:")
-            print(compile_summary_table(result))
         if any(r.phase_seconds for r in result.records):
             print("\nphase profile (exclusive time):")
             print(phase_profile_table(result))

@@ -593,13 +593,15 @@ class PoolSession:
         if trace_id:
             tracer = self.pool.tracer
             now_wall = time.time()
-            queue_span = mint_span_id()
+            # queue and pool-dispatch are consecutive siblings under the
+            # request span: dispatch starts where the queue wait ends.
+            request_span = str(ptask.wire.get("span") or "")
             tracer.emit(
                 span_record(
                     "queue",
                     trace_id,
-                    span=queue_span,
-                    parent=str(ptask.wire.get("span") or ""),
+                    span=mint_span_id(),
+                    parent=request_span,
                     start=ptask.enqueued_wall,
                     end=ptask.dispatched_wall if dispatched else now_wall,
                     attrs={
@@ -616,7 +618,7 @@ class PoolSession:
                         "pool-dispatch",
                         trace_id,
                         span=str(ptask.worker_wire.get("dispatch_span") or ""),
-                        parent=queue_span,
+                        parent=request_span,
                         start=ptask.dispatched_wall,
                         end=now_wall,
                         attrs={

@@ -142,11 +142,12 @@ Schema history: 1 — pre-versioning; 2 — proof certificates; 3 — the
 ``disproved`` status with its ``counterexample``/``falsify_seconds`` payload
 (a v2 line could mask a refutation as a plain failure, so v2 is not read).
 
-The compiled-dispatch counters (``compile_seconds``/``compiled_steps``/
-``fallback_steps``/``hot_symbols``) did *not* bump the schema: their absence
-is benign (they default to zero/empty and describe performance, not the
-verdict), and adding ``ProverConfig.compile_rules`` changed the configuration
-fingerprint anyway, so pre-existing lines no longer match any current run.
+The per-symbol counters (``hot_symbols``) did *not* bump the schema: their
+absence is benign (they default to empty and describe performance, not the
+verdict).  The compiled-dispatch counters (``compile_seconds``/
+``compiled_steps``/``fallback_steps``) were retired with compiled rewrite
+dispatch and the schema stays 3: lines that still carry them replay, and the
+keys are dropped when such a line is decoded and written again.
 """
 
 #: Fields of an outcome payload persisted per entry (everything else in a line
@@ -170,11 +171,8 @@ OUTCOME_FIELDS = (
     "certificate_seconds",
     "counterexample",
     "falsify_seconds",
-    "compile_seconds",
-    "compiled_steps",
-    "fallback_steps",
     "hot_symbols",
-    # Hint accounting (absence-benign, like the compile counters: they
+    # Hint accounting (absence-benign, like ``hot_symbols``: they
     # describe provenance, not the verdict, so they did not bump the schema;
     # adding ProverConfig.max_hints changed the config fingerprint anyway).
     "hints_offered",
@@ -194,7 +192,10 @@ OUTCOME_FIELDS = (
 
 def config_fingerprint(config: ProverConfig) -> str:
     """A short stable digest of every field of a prover configuration."""
-    payload = json.dumps(asdict(config), sort_keys=True, default=str)
+    # ``compile_rules`` is a retired field (compiled rewrite dispatch).  Both
+    # dispatches computed identical reducts, so it is hashed at the value it
+    # held by default: lines written before its removal keep replaying.
+    payload = json.dumps({**asdict(config), "compile_rules": True}, sort_keys=True, default=str)
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 

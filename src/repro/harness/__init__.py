@@ -2,7 +2,6 @@
 
 from .report import (
     ascii_cumulative_plot,
-    compile_summary_table,
     counterexample_table,
     format_table,
     hot_symbol_table,
@@ -24,6 +23,6 @@ __all__ = [
     "ascii_cumulative_plot", "unsolved_classification",
     "normalizer_cache_table", "suite_cache_stats",
     "worker_utilisation_table", "portfolio_winner_table", "strategy_summary_table",
-    "compile_summary_table", "counterexample_table",
+    "counterexample_table",
     "phase_profile_table", "hot_symbol_table",
 ]

@@ -24,7 +24,6 @@ __all__ = [
     "worker_utilisation_table",
     "portfolio_winner_table",
     "strategy_summary_table",
-    "compile_summary_table",
     "phase_profile_table",
     "hot_symbol_table",
     "proof_size_table",
@@ -458,41 +457,6 @@ def counterexample_table(result: SuiteResult, max_width: int = 60) -> str:
     return format_table(headers, rows)
 
 
-def compile_summary_table(result: SuiteResult, top_symbols: int = 8) -> str:
-    """Compiled rewrite dispatch across a suite run: cost, coverage, hot spots.
-
-    Aggregates the per-record counters threaded up from the normaliser:
-    match-tree compile time, how many root rewrite steps ran through compiled
-    match trees versus the generic fallback (declined rule shapes), and the
-    hottest head symbols by rewrite-step count — where normalisation time
-    actually went.  Empty for ``--no-compile-rules`` runs and for records
-    replayed from stores predating the counters.
-    """
-    attempted = [r for r in result.records if r.status != "out-of-scope"]
-    compiled_steps = sum(r.compiled_steps for r in attempted)
-    fallback_steps = sum(r.fallback_steps for r in attempted)
-    total_steps = compiled_steps + fallback_steps
-    if not total_steps:
-        return "(no compiled-dispatch data: --no-compile-rules, or a pre-counter store)"
-    compile_ms = sum(r.compile_seconds for r in attempted) * 1000
-    heads: Dict[str, int] = {}
-    for record in attempted:
-        for head, count in record.hot_symbols.items():
-            heads[head] = heads.get(head, 0) + int(count)
-    hottest = sorted(heads.items(), key=lambda item: (-item[1], item[0]))[:top_symbols]
-    rows = [
-        ("compile time (ms)", f"{compile_ms:.2f}"),
-        ("rewrite steps (compiled)", compiled_steps),
-        ("rewrite steps (generic fallback)", fallback_steps),
-        ("compiled share", f"{100.0 * compiled_steps / total_steps:.1f}%"),
-        (
-            "hottest symbols",
-            ", ".join(f"{head}×{count}" for head, count in hottest) or "-",
-        ),
-    ]
-    return format_table(("metric", "value"), rows)
-
-
 def phase_profile_table(result: SuiteResult) -> str:
     """Where the prover's wall-clock actually went, ranked by exclusive time.
 
@@ -557,7 +521,7 @@ def hot_symbol_table(result: SuiteResult, top: int = 12) -> str:
     """The hottest head symbols of a suite run, ranked by rewrite steps.
 
     One row per head symbol, aggregated across records from the
-    ``hot_symbols`` counters the compiled normaliser threads up — the
+    ``hot_symbols`` counters the normaliser threads up — the
     per-symbol view that pairs with :func:`phase_profile_table`'s per-phase
     view under ``python -m repro profile``.
     """
@@ -566,7 +530,7 @@ def hot_symbol_table(result: SuiteResult, top: int = 12) -> str:
         for head, count in (record.hot_symbols or {}).items():
             heads[head] = heads.get(head, 0) + int(count)
     if not heads:
-        return "(no per-symbol data: --no-compile-rules, or a pre-counter store)"
+        return "(no per-symbol data: a pre-counter store)"
     total = sum(heads.values())
     ranked = sorted(heads.items(), key=lambda item: (-item[1], item[0]))
     rows: List[Tuple[object, ...]] = [

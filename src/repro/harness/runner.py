@@ -77,19 +77,8 @@ class SolveRecord:
     falsify_seconds: float = 0.0
     """Wall-clock cost of ground testing (0 when ``falsify_first`` was off)."""
 
-    compile_seconds: float = 0.0
-    """Wall-clock cost of compiling per-symbol match trees observed by the
-    attempt's normaliser (0 when ``compile_rules`` was off or everything was
-    already compiled)."""
-
-    compiled_steps: int = 0
-    """Root rewrite steps dispatched through compiled match trees."""
-
-    fallback_steps: int = 0
-    """Root rewrite steps that fell back to generic matching (declined heads)."""
-
     hot_symbols: Dict[str, int] = field(default_factory=dict)
-    """Rewrite steps per head symbol under compiled dispatch — the attempt's
+    """Rewrite steps per head symbol, one per root reduction — the attempt's
     hottest functions (trimmed to the top few when crossing the wire)."""
 
     hints_offered: int = 0
@@ -130,6 +119,14 @@ class SolveRecord:
     @property
     def milliseconds(self) -> float:
         return self.seconds * 1000.0
+
+    # Retired counters of the deleted compiled rewrite dispatch, always 0 and
+    # never on the wire or in the store.  Their only readers are perfbench's
+    # ``rewriting.compile_s`` and ``rewriting.compiled_step_share`` metrics;
+    # drop these once the benchmark drops those metrics.
+    compile_seconds = property(lambda self: 0.0)
+    compiled_steps = property(lambda self: 0)
+    fallback_steps = property(lambda self: 0)
 
     # -- the wire codec: worker pipe and store line -------------------------------
 
@@ -319,9 +316,6 @@ def attempt(
             outcome.counterexample.to_dict() if outcome.counterexample is not None else None
         ),
         falsify_seconds=stats.falsification_seconds,
-        compile_seconds=stats.compile_seconds,
-        compiled_steps=stats.compiled_steps,
-        fallback_steps=stats.fallback_steps,
         hot_symbols=dict(stats.rewrite_head_counts),
         hints_offered=stats.hints_offered,
         hint_steps=stats.hint_steps,

@@ -133,12 +133,9 @@ class Program:
 
     # -- semantics --------------------------------------------------------------
 
-    def normalizer(self, compile_rules: bool = True) -> Normalizer:
-        """A fresh caching normaliser for this program's rules.
-
-        ``compile_rules=False`` forces generic dispatch — the reference path
-        that proof checking and counterexample replay use."""
-        return Normalizer(self.rules, compile_rules=compile_rules)
+    def normalizer(self) -> Normalizer:
+        """A fresh caching normaliser for this program's rules."""
+        return Normalizer(self.rules)
 
     def normalize(self, term: Term) -> Term:
         """Normalise a single term (uncached; use :meth:`normalizer` in loops)."""
@@ -293,9 +290,9 @@ def check_equation(
         from .semantics.evaluator import value_to_term
 
         if normalizer is None:
-            # The oracle's slow path stays fully generic, like the docstring
-            # promises: no compiled evaluator, no compiled rewrite dispatch.
-            normalizer = program.normalizer(compile_rules=False)
+            # The oracle's slow path stays on the normaliser, like the
+            # docstring promises: no compiled evaluator.
+            normalizer = program.normalizer()
         theta = Substitution(
             {var.name: value_to_term(value) for var, value in zip(variables, instance)}
         )

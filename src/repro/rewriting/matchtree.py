@@ -1,13 +1,10 @@
-"""Maranget match trees: one pattern-matrix compiler for two backends.
+"""Maranget match trees: the pattern-matrix compiler behind the evaluator.
 
-Both places that run a function's defining equations as code compile each
-head symbol's rules into a decision tree (Maranget, "Compiling pattern
-matching to good decision trees", ML 2008) built here:
-
-* :mod:`repro.rewriting.compile` lowers it to Python source walking the
-  hash-consed *open-term* DAG (the prover's normaliser);
-* :mod:`repro.semantics.evaluator` lowers it to a tree over *ground values*
-  (the falsifier's evaluator).
+:mod:`repro.semantics.evaluator` runs a function's defining equations as code
+over *ground values*: it compiles each head symbol's rules into a decision
+tree (Maranget, "Compiling pattern matching to good decision trees", ML 2008)
+built here.  The prover's normaliser does not use these trees; it matches
+rules one by one in declaration order (:mod:`repro.rewriting.reduction`).
 
 Tree layout::
 

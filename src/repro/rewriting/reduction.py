@@ -18,7 +18,6 @@ is a single integer-keyed dict probe (equality within a bank is identity).
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Dict, Iterator, Optional, Tuple
 
@@ -27,7 +26,6 @@ from ..core.interning import TermBank, current_bank
 from ..core.matching import match_or_none
 from ..core.substitution import Substitution
 from ..core.terms import App, Position, Term, positions, replace_at
-from .compile import _UNSEEN, CompiledRewriteSystem, _never_matches
 from .rules import RewriteRule
 from .trs import RewriteSystem
 
@@ -39,22 +37,9 @@ __all__ = [
     "is_normal_form",
     "normalize",
     "Normalizer",
-    "compile_rules_default",
 ]
 
 DEFAULT_MAX_STEPS = 10_000
-
-
-def compile_rules_default() -> bool:
-    """The process-wide default for compiled rewrite dispatch.
-
-    On unless the ``REPRO_NO_COMPILE_RULES`` environment variable is set to a
-    non-empty value — the switch CI uses to run the entire test suite over
-    the generic dispatch path without touching every construction site.
-    Explicit ``compile_rules=`` arguments always override this.  Read at each
-    call (not import time) so tests can monkeypatch the environment.
-    """
-    return not os.environ.get("REPRO_NO_COMPILE_RULES")
 
 
 @dataclass(frozen=True)
@@ -115,9 +100,9 @@ def normalize(system: RewriteSystem, term: Term, max_steps: int = DEFAULT_MAX_ST
     """The normal form of ``term`` under a **per-root** step budget.
 
     The budget semantics are those of :class:`Normalizer` (this function is a
-    thin wrapper over a fresh, generic-dispatch instance): every cache-missed
-    subterm root gets ``max_steps`` root reductions of its own, rather than
-    one global count across the whole term.  Per-root is the right unit for a
+    thin wrapper over a fresh instance): every cache-missed subterm root gets
+    ``max_steps`` root reductions of its own, rather than one global count
+    across the whole term.  Per-root is the right unit for a
     divergence guard — it bounds the only loop that can actually run away
     (reducing one position forever) without making the effective budget of a
     subterm depend on how large the surrounding term happened to be.
@@ -126,16 +111,11 @@ def normalize(system: RewriteSystem, term: Term, max_steps: int = DEFAULT_MAX_ST
     on the other; the two paths now share one implementation and one
     documented meaning.
 
-    Dispatch stays generic (``compile_rules=False``): this function is the
-    reference semantics that the compiled path of
-    :mod:`repro.rewriting.compile` is differentially tested against, and what
-    proof checking and counterexample replay trust.
-
     Raises :class:`RewriteError` when the step budget is exhausted, which in
     practice signals a non-terminating definition (outside the paper's
     standing assumptions).
     """
-    return Normalizer(system, max_steps=max_steps, compile_rules=False).normalize(term)
+    return Normalizer(system, max_steps=max_steps).normalize(term)
 
 
 class Normalizer:
@@ -147,17 +127,14 @@ class Normalizer:
     through it, which is the common case), so the cache key is the node's
     stable integer id and a hit costs one dict probe.
 
-    With ``compile_rules`` (the default) root reduction dispatches through the
-    per-head match trees of :class:`~repro.rewriting.compile.CompiledRewriteSystem`
-    instead of the candidate-lookup + first-order-matching loop; heads whose
-    rules fall outside the compilable fragment transparently fall back to the
-    generic path, and the two dispatchers compute identical reducts (the match
-    trees preserve declaration order).  Pass ``compile_rules=False`` for the
-    pure reference path — proof checking and counterexample replay do.
+    Root reduction is one path for every client — proof search, proof
+    checking, counterexample replay: the index's candidate lookup followed by
+    first-order matching, first matching rule in declaration order wins.
+    Every root step bumps :attr:`head_steps` for the redex's head symbol.
 
-    Both the normal-form cache and the compiled trees are only sound for a
-    fixed rule set, so the normaliser watches the system's
-    :attr:`~repro.rewriting.trs.RewriteSystem.epoch` and refreshes both when
+    The normal-form cache is only sound for a fixed rule set, so the
+    normaliser watches the system's
+    :attr:`~repro.rewriting.trs.RewriteSystem.epoch` and clears the cache when
     rules are added mid-run (Knuth-Bendix completion, rewriting induction).
 
     The step budget is **per root**: every cache-missed subterm gets
@@ -173,11 +150,8 @@ class Normalizer:
         system: RewriteSystem,
         max_steps: int = DEFAULT_MAX_STEPS,
         bank: Optional[TermBank] = None,
-        compile_rules: Optional[bool] = None,
         max_total_steps: Optional[int] = None,
     ):
-        if compile_rules is None:
-            compile_rules = compile_rules_default()
         self.system = system
         self.max_steps = max_steps
         self.max_total_steps = max_total_steps
@@ -187,59 +161,14 @@ class Normalizer:
         self.steps_taken = 0
         self.cache_hits = 0
         self.cache_misses = 0
-        self.compiled_steps = 0
-        self.fallback_steps = 0
         self.head_steps: Dict[str, int] = {}
         self._epoch = system.epoch
-        self._compile_seconds_accum = 0.0
-        if compile_rules:
-            self._compiled: Optional[CompiledRewriteSystem] = (
-                CompiledRewriteSystem.for_system(system, self._bank)
-            )
-            self._compile_seconds_base = self._compiled.compile_seconds
-            self._matcher_for = self._compiled.matcher_for
-        else:
-            self._compiled = None
-            self._compile_seconds_base = 0.0
-            self._matcher_for = None
-
-    @property
-    def compile_rules(self) -> bool:
-        """Is compiled dispatch enabled?"""
-        return self._compiled is not None
-
-    @property
-    def compile_seconds(self) -> float:
-        """Match-tree compile time observed through this normaliser.
-
-        Compilation is lazy and the compiled system is shared (memoised per
-        rewrite system and bank), so this is the compile work that happened
-        while this instance was the one driving it — which, with one
-        normaliser per proof attempt, is the attempt's own compile cost."""
-        if self._compiled is None:
-            return self._compile_seconds_accum
-        return (
-            self._compile_seconds_accum
-            + self._compiled.compile_seconds
-            - self._compile_seconds_base
-        )
-
-    def _refresh(self) -> None:
-        """Drop state invalidated by a rule addition (cache + compiled trees)."""
-        self._cache.clear()
-        self._epoch = self.system.epoch
-        if self._compiled is not None:
-            self._compile_seconds_accum += (
-                self._compiled.compile_seconds - self._compile_seconds_base
-            )
-            self._compiled = CompiledRewriteSystem.for_system(self.system, self._bank)
-            self._compile_seconds_base = self._compiled.compile_seconds
-            self._matcher_for = self._compiled.matcher_for
 
     def normalize(self, term: Term) -> Term:
         """The cached normal form of ``term``."""
         if self.system.epoch != self._epoch:
-            self._refresh()
+            self._cache.clear()
+            self._epoch = self.system.epoch
         if term._bank is not self._bank:
             term = self._bank.intern(term)
         cached = self._cache.get(term._id)
@@ -272,10 +201,7 @@ class Normalizer:
 
         Everything the loop touches per node is bound to a local: at a few
         hundred thousand opcodes per proof attempt, attribute probes on
-        ``self`` are a measurable fraction of normalisation, in *both*
-        dispatch modes — keeping the machinery identical keeps the
-        compiled-vs-generic benchmark an apples-to-apples comparison of the
-        dispatchers alone.
+        ``self`` are a measurable fraction of normalisation.
         """
         tasks = [(self._ENTER, [root, root, 0, False])]
         values = []  # resolved normal forms, consumed by _FINISH
@@ -290,12 +216,6 @@ class Normalizer:
         max_total_steps = self.max_total_steps
         if max_total_steps is None:
             max_total_steps = float("inf")
-        compiled = self._compiled
-        # The compiled per-head matcher table, probed inline.  Misses go
-        # through _build_head (lazy compile), `_never_matches` marks heads
-        # with no rules (constructors), and None marks declined heads, which
-        # run the generic candidate+match loop below.
-        matchers = None if compiled is None else compiled._matchers
         head_steps = self.head_steps
         while tasks:
             op, payload = pop()
@@ -331,39 +251,19 @@ class Normalizer:
                     fun_nf = values.pop()
                     if fun_nf is not current.fun or arg_nf is not current.arg:
                         current = bank_app(fun_nf, arg_nf)
-                head = current._head
-                reduct = None
-                if head is not None:
-                    if matchers is None:
-                        found = _match_rules(system, current)
-                        if found is not None:
-                            rule, theta = found
-                            reduct = theta.apply(rule.rhs)
-                    else:
-                        matcher = matchers.get(head, _UNSEEN)
-                        if matcher is _UNSEEN:
-                            matcher = compiled._build_head(head)
-                        if matcher is _never_matches:
-                            pass  # no rules for this head (constructors)
-                        elif matcher is not None:
-                            reduct = matcher(current)
-                            if reduct is not None:
-                                self.compiled_steps += 1
-                                head_steps[head] = head_steps.get(head, 0) + 1
-                        else:
-                            # This head's rules were declined by the compiler:
-                            # generic candidate lookup + matching, same reduct.
-                            found = _match_rules(system, current)
-                            if found is not None:
-                                rule, theta = found
-                                reduct = theta.apply(rule.rhs)
-                                self.fallback_steps += 1
-                                head_steps[head] = head_steps.get(head, 0) + 1
-                if reduct is None:
+                found = _match_rules(system, current)
+                if found is None:
                     cache[orig._id] = current
                     emit(current)
                     continue
-                current = reduct
+                rule, theta = found
+                head = current._head
+                head_steps[head] = head_steps.get(head, 0) + 1
+                current = theta.apply(rule.rhs)
+                if current._bank is not bank:
+                    # A ground right-hand side comes back as the rule's own
+                    # node, which lives in the bank the rules were built in.
+                    current = bank.intern(current)
                 taken = self.steps_taken + 1
                 self.steps_taken = taken
                 steps += 1
@@ -394,8 +294,6 @@ class Normalizer:
             "misses": self.cache_misses,
             "size": len(self._cache),
             "steps": self.steps_taken,
-            "compiled_steps": self.compiled_steps,
-            "fallback_steps": self.fallback_steps,
         }
 
     def clear(self) -> None:

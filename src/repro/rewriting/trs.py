@@ -82,8 +82,7 @@ class RewriteSystem:
         """A counter bumped on every rule addition.
 
         Derived structures that are only sound for a fixed rule set — the
-        normaliser's normal-form cache, the compiled match trees of
-        :mod:`repro.rewriting.compile` — record the epoch they were built at
+        normaliser's normal-form cache — record the epoch they were built at
         and rebuild when it moves, so completion and rewriting induction can
         extend a system mid-run without serving stale results."""
         return self._epoch

@@ -8,10 +8,8 @@ The remaining knobs exist for the ablation experiments in ``benchmarks/``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
-
-from ..rewriting.reduction import compile_rules_default
 
 __all__ = ["ProverConfig", "LEMMAS_CASE_ONLY", "LEMMAS_ALL", "LEMMAS_NONE", "STRATEGY_DFS"]
 
@@ -108,21 +106,6 @@ class ProverConfig:
     may instantiate, so an unbounded hint list inflates the branching factor
     of every subgoal; services offering a whole lemma library set this.  Part
     of the configuration fingerprint like every other field."""
-
-    compile_rules: bool = field(default_factory=lambda: compile_rules_default())
-    """Dispatch normalisation through per-symbol compiled match trees.
-
-    The prover's :class:`~repro.rewriting.reduction.Normalizer` then reduces
-    roots via :class:`~repro.rewriting.compile.CompiledRewriteSystem` (with
-    transparent per-head fallback to generic matching) instead of the
-    candidate-lookup + first-order-matching loop.  The two dispatchers compute
-    identical reducts — this flag exists for benchmarking the generic baseline
-    (CLI ``--no-compile-rules``) and for parity runs, not because results
-    differ.  The default is on; setting the ``REPRO_NO_COMPILE_RULES``
-    environment variable (to any non-empty value) flips the default off
-    process-wide, which is how CI runs the whole test suite over the generic
-    path (explicit ``compile_rules=`` arguments always win).  Part of the
-    configuration fingerprint like every other field."""
 
     def with_(self, **changes) -> "ProverConfig":
         """A copy of the configuration with the given fields replaced."""

@@ -227,7 +227,7 @@ class _ProofAttempt:
         self.config = config
         self.proof = Preproof()
         self.closure = IncrementalClosure()
-        self.normalizer = Normalizer(program.rules, compile_rules=config.compile_rules)
+        self.normalizer = Normalizer(program.rules)
         self.fresh = FreshNameSupply()
         self.stats = SearchStatistics()
         self.clock = PhaseClock()
@@ -293,9 +293,6 @@ class _ProofAttempt:
         self.stats.closure_compositions = self.closure.compositions_performed
         self.stats.normalizer_hits = self.normalizer.cache_hits
         self.stats.normalizer_misses = self.normalizer.cache_misses
-        self.stats.compile_seconds = self.normalizer.compile_seconds
-        self.stats.compiled_steps = self.normalizer.compiled_steps
-        self.stats.fallback_steps = self.normalizer.fallback_steps
         self.stats.rewrite_head_counts = dict(self.normalizer.head_steps)
         self.stats.hints_offered = len(hypotheses)
         if proved and hypotheses:

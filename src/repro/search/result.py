@@ -82,19 +82,9 @@ class SearchStatistics:
     falsification_instances: int = 0
     """Ground instances tested by ``falsify_first`` (0 when off)."""
 
-    compile_seconds: float = 0.0
-    """Wall-clock cost of compiling per-symbol match trees (lazy, shared —
-    this is the compile work observed through the attempt's normaliser)."""
-
-    compiled_steps: int = 0
-    """Root reductions dispatched through compiled match trees."""
-
-    fallback_steps: int = 0
-    """Root reductions that fell back to generic matching (declined heads)."""
-
     rewrite_head_counts: dict = field(default_factory=dict)
-    """Rewrite steps per head symbol (compiled dispatch only): the hot
-    functions of the attempt, feeding ``compile_summary_table``."""
+    """Rewrite steps per head symbol, one per root reduction: the hot
+    functions of the attempt, feeding ``hot_symbol_table``."""
 
     hints_offered: int = 0
     """Hypotheses supplied to the attempt (library lemmas, human hints) after
@@ -132,8 +122,6 @@ class SearchStatistics:
         rounds = f"×{self.iterations}" if self.iterations > 1 else ""
         if self.falsification_instances:
             strategy += f" falsify={self.falsification_instances}"
-        if self.compiled_steps or self.fallback_steps:
-            strategy += f" compiled={self.compiled_steps}/{self.compiled_steps + self.fallback_steps}"
         if self.hints_offered:
             strategy += f" hints={self.hint_steps}/{self.hints_offered}"
         return (

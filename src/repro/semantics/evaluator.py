@@ -12,9 +12,8 @@ This module compiles the program once and then answers the narrow question
 directly:
 
 * Each defined function's rewrite rules become one **pattern-match decision
-  tree**, the one :mod:`repro.rewriting.matchtree` builds for the prover's
-  normaliser too, lowered here to leaves that bind variable slots and name
-  the compiled right-hand side.  Matching a call is then a handful of tuple
+  tree** built by :mod:`repro.rewriting.matchtree`, lowered here to leaves
+  that bind variable slots and name the compiled right-hand side.  Matching a call is then a handful of tuple
   indexing operations — no rule index lookups, no generic matching, no
   substitution objects.
 * Ground **values** are plain Python tuples ``(constructor, arg_value, ...)``
@@ -953,7 +952,7 @@ class Evaluator:
         if normalizer is None:
             system = RewriteSystem(self.signature)
             system.extend(self._rules, validate=False)
-            normalizer = self._deep_normalizer = Normalizer(system, compile_rules=False)
+            normalizer = self._deep_normalizer = Normalizer(system)
         start = normalizer.steps_taken
         normalizer.max_steps = self._remaining
         normalizer.max_total_steps = start + self._remaining

@@ -164,9 +164,9 @@ class Counterexample:
             goal = program.goals.get(self.goal_name) if self.goal_name else None
             equation = goal.equation if goal is not None else program.parse_equation(self.equation)
         theta = self.substitution(program)
-        # Generic dispatch on purpose: replay must stay independent of every
-        # compiled execution path (evaluator *and* compiled rewrite dispatch).
-        normalizer = Normalizer(program.rules, compile_rules=False)
+        # The normaliser on purpose: replay must stay independent of the
+        # compiled evaluator that found the counterexample.
+        normalizer = Normalizer(program.rules)
         for premise_source in self.premises:
             premise = program.parse_equation(premise_source).apply(theta)
             if normalizer.normalize(premise.lhs) != normalizer.normalize(premise.rhs):

@@ -5,8 +5,8 @@
 * :mod:`repro.service.server` — the service core and its asyncio JSON-lines
   front-end over a local unix socket.
 * :mod:`repro.service.state` — the per-``Program.fingerprint()`` warm-state
-  cache (elaborated programs, term banks, compiled rewrite systems, compiled
-  evaluators) so repeat theories never re-elaborate or recompile.
+  cache (elaborated programs, term banks, compiled evaluators) so repeat
+  theories never re-elaborate or recompile.
 * :mod:`repro.service.library` — the content-addressed lemma library: proved
   equations plus certificates, keyed by program fingerprint, verified with
   :func:`repro.proofs.checker.check_certificate` before they may be offered

@@ -2,8 +2,7 @@
 
 One :class:`WarmState` bundles what a cold request must otherwise rebuild —
 the elaborated :class:`~repro.program.Program` in its own private
-:class:`~repro.core.interning.TermBank`, the compiled rewrite system behind a
-ready :class:`~repro.rewriting.reduction.Normalizer`, the compiled ground
+:class:`~repro.core.interning.TermBank`, the compiled ground
 :class:`~repro.semantics.evaluator.Evaluator`, a
 :class:`~repro.proofs.checker.CertificateChecker` bound to the program, and
 the per-goal :class:`~repro.benchmarks_data.registry.BenchmarkProblem` views.
@@ -38,8 +37,6 @@ class WarmState:
         from ..core.interning import TermBank, use_bank
         from ..lang.loader import load_program
         from ..proofs.checker import CertificateChecker
-        from ..rewriting.compile import CompiledRewriteSystem
-        from ..rewriting.reduction import Normalizer
         from ..semantics.evaluator import CompilationError, Evaluator
 
         self.source = source
@@ -57,11 +54,6 @@ class WarmState:
         with use_bank(self.bank):
             self.program = load_program(source, name=suite)
             self.fingerprint = self.program.fingerprint()
-            #: Ready normaliser with the per-symbol match trees already built;
-            #: parsing/normalising on the parent side (hints, store keys) pays
-            #: zero compile time on repeat requests.
-            self.normalizer = Normalizer(self.program.rules)
-            self.compiled = CompiledRewriteSystem.for_system(self.program.rules, self.bank)
             #: Compiled ground evaluator (cached *on the program*, so any
             #: falsification against this warm program reuses it); ``None``
             #: when the program is outside the compilable fragment.

@@ -10,7 +10,7 @@ from repro.cli import _prover_config, build_parser, main
 from repro.search import LEMMAS_ALL, ProverConfig
 
 _FULL_SOLVE = ["--timeout", "3", "--max-depth", "5", "--lemmas", LEMMAS_ALL,
-               "--strategy", "iddfs", "--falsify", "--no-compile-rules"]
+               "--strategy", "iddfs", "--falsify"]
 
 
 class TestProverFlags:
@@ -20,20 +20,19 @@ class TestProverFlags:
         (["solve"], ProverConfig()),
         (["solve", *_FULL_SOLVE], ProverConfig(
             timeout=3.0, max_depth=5, lemma_restriction=LEMMAS_ALL, strategy="iddfs",
-            falsify_first=True, compile_rules=False)),
+            falsify_first=True)),
         (["solve", "--emit-proofs"], ProverConfig(emit_proofs=True)),
         (["solve", "--proof-dir", "certs"], ProverConfig(emit_proofs=True)),
         (["bench"], ProverConfig()),
         (["bench", "--timeout", "1", "--strategy", "best-first", "--emit-proofs",
-          "--falsify", "--no-compile-rules"], ProverConfig(
-            timeout=1.0, strategy="best-first", emit_proofs=True, falsify_first=True,
-            compile_rules=False)),
+          "--falsify"], ProverConfig(
+            timeout=1.0, strategy="best-first", emit_proofs=True, falsify_first=True)),
         (["profile"], ProverConfig()),
         (["profile", "--max-nodes", "200"], ProverConfig(max_nodes=200, timeout=None)),
         (["profile", "--max-nodes", "200", "--timeout", "2"],
          ProverConfig(max_nodes=200, timeout=2.0)),
-        (["profile", "--timeout", "2", "--strategy", "dfs", "--falsify", "--no-compile-rules"],
-         ProverConfig(timeout=2.0, strategy="dfs", falsify_first=True, compile_rules=False)),
+        (["profile", "--timeout", "2", "--strategy", "dfs", "--falsify"],
+         ProverConfig(timeout=2.0, strategy="dfs", falsify_first=True)),
     ])
     def test_flags_map_onto_one_config(self, argv, expected):
         assert _prover_config(build_parser().parse_args(argv)) == expected
@@ -44,6 +43,8 @@ class TestProverFlags:
         ["profile", "--emit-proofs"],
         ["profile", "--max-depth", "5"],
         ["solve", "--max-nodes", "5"],
+        ["solve", "--no-compile-rules"],
+        ["bench", "--no-compile-rules"],
     ])
     def test_commands_keep_their_own_flags(self, argv, capsys):
         with pytest.raises(SystemExit):

@@ -7,6 +7,7 @@ import pytest
 
 from repro.benchmarks_data import isaplanner_problems, isaplanner_program, mutual_program
 from repro.engine import STORE_SCHEMA_VERSION, ResultStore, config_fingerprint, solve_suite
+from repro.harness.runner import SolveRecord
 from repro.search import ProverConfig
 
 
@@ -55,6 +56,11 @@ class TestProgramFingerprint:
 class TestConfigFingerprint:
     def test_stable(self):
         assert config_fingerprint(ProverConfig()) == config_fingerprint(ProverConfig())
+
+    def test_default_key_is_pinned(self):
+        # Store lines written by earlier builds are keyed by this digest; a
+        # change here makes every existing store a cold run.
+        assert config_fingerprint(ProverConfig()) == "d78f4d51d57f2c77"
 
     def test_every_budget_field_matters(self):
         base = ProverConfig()
@@ -159,6 +165,27 @@ class TestStoreSchema:
         assert len(reloaded) == 1
         assert reloaded.schema_skipped == 2
         assert reloaded.get(self.key())["status"] == "proved"
+
+    def test_retired_compile_counters_decode_and_drop_on_rewrite(self, tmp_path):
+        retired = ("compile_seconds", "compiled_steps", "fallback_steps")
+        line = {"schema": STORE_SCHEMA_VERSION, "program": "prog", "goal": "suite/goal",
+                "equation": "lhs ≈ rhs", "config": "cfg", "status": "proved", "nodes": 7,
+                "compile_seconds": 0.002, "compiled_steps": 9, "fallback_steps": 1,
+                "hot_symbols": {"add": 9}}
+        old = tmp_path / "old.jsonl"
+        old.write_text(json.dumps(line) + "\n", encoding="utf-8")
+        payload = ResultStore(str(old), lock=False).get(self.key())
+        record = SolveRecord.from_wire("goal", "suite", payload, cached=True)
+        assert (record.status, record.nodes, record.hot_symbols) == ("proved", 7, {"add": 9})
+        assert SolveRecord.from_wire("goal", "suite", line) == SolveRecord.from_wire(
+            "goal", "suite", payload
+        )
+        path = str(tmp_path / "store.jsonl")
+        ResultStore(path).put(self.key(), record.to_wire())
+        with open(path, encoding="utf-8") as handle:
+            rewritten = json.loads(handle.readline())
+        assert not set(retired) & set(rewritten)
+        assert rewritten == {k: v for k, v in line.items() if k not in retired}
 
     def test_compact_drops_stale_schema_lines(self, tmp_path):
         path = str(tmp_path / "store.jsonl")

@@ -10,9 +10,8 @@ construction-independent evidence:
   :mod:`repro.sizechange.reference`) on random inputs;
 * **pinned full-suite parity**: the IsaPlanner + mutual suites under a
   deterministic node budget (``dfs``, wall clock off) must reproduce a
-  hard-coded per-goal (status, node-count) signature — under compiled AND
-  generic rewrite dispatch — so any fast path that changes search behaviour
-  flips a pinned literal;
+  hard-coded per-goal (status, node-count) signature, so any fast path that
+  changes search behaviour flips a pinned literal;
 * a slice-level end-to-end check that the shipped prover and the
   reference-patched prover (:func:`repro.perf.reference_hot_paths`) agree
   goal by goal.  (The full-suite version of this comparison runs in
@@ -412,9 +411,9 @@ class TestFunExtGoalType:
 #: Per-goal (status, nodes) for the full IsaPlanner + mutual suites at
 #: ``ProverConfig(timeout=None, max_nodes=60, strategy="dfs",
 #: falsify_first=True)`` — recorded when the hot-path optimisation pass
-#: landed, identical under compiled and generic dispatch and identical to
-#: the pre-optimisation search.  Any fast path that changes search
-#: behaviour flips one of these literals.
+#: landed, identical under the since-deleted compiled rewrite dispatch and
+#: identical to the pre-optimisation search.  Any fast path that changes
+#: search behaviour flips one of these literals.
 PINNED_SUITE_SIGNATURE = {
     "prop_01": ("proved", 12),
     "prop_02": ("failed", 61),
@@ -512,24 +511,16 @@ PINNED_SUITE_SIGNATURE = {
 }
 
 
-def _parity_config(compiled):
-    return ProverConfig(
-        timeout=None,
-        max_nodes=60,
-        strategy="dfs",
-        falsify_first=True,
-        compile_rules=compiled,
-    )
+PARITY_CONFIG = ProverConfig(timeout=None, max_nodes=60, strategy="dfs", falsify_first=True)
 
 
 def _suite_signature(result):
     return {r.name: (r.status, r.nodes) for r in result.records}
 
 
-@pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "generic"])
-def test_full_suite_matches_pinned_signature(compiled):
+def test_full_suite_matches_pinned_signature():
     problems = isaplanner_problems() + mutual_problems()
-    result = run_suite(problems, _parity_config(compiled))
+    result = run_suite(problems, PARITY_CONFIG)
     signature = _suite_signature(result)
     diff = {
         name: (signature.get(name), pinned)
@@ -545,10 +536,9 @@ def test_slice_parity_optimised_vs_reference_hot_paths():
     # prover and the fully reference-patched prover agree goal by goal.
     # (benchmarks/bench_hot_loop.py runs the larger asserted version.)
     problems = isaplanner_problems()[:6] + mutual_problems()[:2]
-    config = _parity_config(compiled=True)
-    optimised = run_suite(problems, config)
+    optimised = run_suite(problems, PARITY_CONFIG)
     with reference_hot_paths():
-        reference = run_suite(problems, config)
+        reference = run_suite(problems, PARITY_CONFIG)
     assert [(r.name, r.status, r.nodes) for r in optimised.records] == [
         (r.name, r.status, r.nodes) for r in reference.records
     ]

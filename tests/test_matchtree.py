@@ -1,19 +1,17 @@
-"""First-match semantics of the shared match-tree compiler (:mod:`repro.rewriting.matchtree`).
+"""First-match semantics of the match-tree compiler (:mod:`repro.rewriting.matchtree`).
 
 Hypothesis draws overlapping, non-orthogonal rule rows of nested
 ``Z``/``S``/``Nil``/``Cons`` patterns with wildcards, then ground arguments.
 The generic matcher (:func:`~repro.core.matching.match_or_none`, rule by rule
-in declaration order) is the oracle; both backends of the one tree must
-agree with it:
-
-* the compiled open-term matcher returns the reduct of the first row that
-  matches (or ``None`` when no row does);
-* the ground evaluator's compiled function (``_fn_of_function``, the tree
-  walk every evaluation takes) returns that same row's right-hand side, with
-  the same bindings (or is stuck).
+in declaration order) is the oracle: the ground evaluator's compiled function
+(``_fn_of_function``, the tree walk every evaluation takes) must return the
+right-hand side of the first row that matches, with the same bindings (or be
+stuck when no row does).
 
 Case order and spine lengths are invisible to first-match semantics, so a
-small golden tree pins them.
+small golden tree pins them.  The rule shapes outside the fragment are
+pinned against :func:`~repro.rewriting.matchtree.compile_head` directly and
+against the evaluator, which refuses a system with any declined head.
 
 Every right-hand side names its row and returns all of the row's bindings,
 so agreeing values mean the same row and the same bindings.
@@ -26,15 +24,13 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.interning import current_bank
 from repro.core.matching import match_or_none
-from repro.core.terms import Sym, Var, apply_term
-from repro.core.types import DataTy
-from repro.rewriting.compile import CompiledRewriteSystem
-from repro.rewriting.matchtree import LEAF, SWITCH, compile_head
+from repro.core.terms import App, Sym, Var, apply_term
+from repro.core.types import DataTy, TypeVar
+from repro.rewriting.matchtree import LEAF, SWITCH, MatchCompilationDeclined, compile_head
 from repro.rewriting.rules import RewriteRule
 from repro.rewriting.trs import RewriteSystem
-from repro.semantics.evaluator import Evaluator, StuckEvaluation
+from repro.semantics.evaluator import CompilationError, Evaluator, StuckEvaluation
 
 NAT = DataTy("Nat")
 LIST = DataTy("List", (NAT,))
@@ -117,13 +113,11 @@ args_strategy = st.lists(
 class TestFirstMatch:
     @settings(deadline=None, max_examples=150)
     @given(rows=rows_strategy, calls=args_strategy)
-    def test_both_backends_select_the_first_matching_row(self, list_program, rows, calls):
+    def test_evaluator_selects_the_first_matching_row(self, list_program, rows, calls):
         system = RewriteSystem(list_program.signature)
         rules = [build_rule(index, *row) for index, row in enumerate(rows)]
         for rule in rules:
             system.add_rule(rule, validate=False)
-        matcher = CompiledRewriteSystem(system, current_bank()).matcher_for("f")
-        assert matcher is not None
         evaluator = Evaluator(list_program.signature, system.rules)
         for n, xs in calls:
             target = apply_term(Sym("f"), num(n), nat_list(xs))
@@ -133,7 +127,6 @@ class TestFirstMatch:
                 if theta is not None:
                     expected = theta.apply(rule.rhs)
                     break
-            assert matcher(target) == expected
             args = (evaluator.evaluate(num(n)), evaluator.evaluate(nat_list(xs)))
             if expected is None:
                 with pytest.raises(StuckEvaluation):
@@ -167,3 +160,62 @@ class TestTreeShape:
         # it: first appearance down the rows, not declaration order.
         assert list(tree[2]) == ["S", "Z"]
         assert list(tree[2]["S"][1][2]) == ["Z", "S"]
+
+
+@pytest.fixture(params=["compile_head", "evaluator"])
+def declines(request):
+    """Assert that one client refuses a head's rules: :func:`compile_head`
+    declines the head, and the ground evaluator, which needs every head
+    compiled, refuses the whole system."""
+
+    def check(head, rules, program):
+        if request.param == "compile_head":
+            with pytest.raises(MatchCompilationDeclined):
+                compile_head(head, rules, program.signature)
+        else:
+            system = RewriteSystem(program.signature)
+            for rule in rules:
+                system.add_rule(rule, validate=False)
+            with pytest.raises(CompilationError):
+                Evaluator(system.signature, system.rules)
+
+    return check
+
+
+class TestDeclines:
+    """The fragment boundary: each shape makes :func:`compile_head` decline,
+    which the evaluator turns into a :class:`CompilationError`."""
+
+    def test_non_left_linear_rule(self, list_program, declines):
+        x = Var("x", NAT)
+        declines("eqq", [RewriteRule(apply_term(Sym("eqq"), x, x), Sym("Z"))], list_program)
+
+    def test_arity_disagreement(self, list_program, declines):
+        x, y = Var("x", NAT), Var("y", NAT)
+        rules = [
+            RewriteRule(apply_term(Sym("h"), x), x),
+            RewriteRule(apply_term(Sym("h"), x, y), x),
+        ]
+        declines("h", rules, list_program)
+
+    def test_defined_symbol_in_pattern(self, list_program, declines):
+        xs, ys = Var("xs", LIST), Var("ys", LIST)
+        lhs = apply_term(Sym("k"), apply_term(Sym("app"), xs, ys))
+        declines("k", [RewriteRule(lhs, xs)], list_program)
+
+    def test_variable_headed_pattern(self, list_program, declines):
+        applied_var = App(Var("f", TypeVar("a")), Var("y", NAT))
+        rules = [RewriteRule(apply_term(Sym("k2"), applied_var), Sym("Z"))]
+        declines("k2", rules, list_program)
+
+    def test_unbound_rhs_variable(self, list_program, declines):
+        rules = [RewriteRule(apply_term(Sym("u"), Sym("Z")), Var("x", NAT))]
+        declines("u", rules, list_program)
+
+    def test_constructor_at_two_arities(self, list_program, declines):
+        x, xs = Var("x", NAT), Var("xs", LIST)
+        rules = [
+            RewriteRule(apply_term(Sym("p"), App(Sym("Cons"), x)), Sym("Z")),
+            RewriteRule(apply_term(Sym("p"), apply_term(Sym("Cons"), x, xs)), Sym("Z")),
+        ]
+        declines("p", rules, list_program)

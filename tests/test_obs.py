@@ -3,8 +3,8 @@ tracing threaded through the proof service (PR 10).
 
 The end-to-end tests drive the in-process service core with tracing to a
 JSONL sink and then read the file back exactly as ``repro trace`` would —
-the span *chain* (request → queue → pool-dispatch → worker-solve → verdict)
-is asserted from the file, not from internals, because the file is the
+the span *tree* (a request's queue, pool-dispatch → worker-solve and verdict
+spans) is asserted from the file, not from internals, because the file is the
 contract.
 """
 
@@ -125,7 +125,10 @@ def test_read_trace_skips_torn_and_foreign_lines(tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def test_concurrent_clients_trace_complete_span_chains(tmp_path):
+@pytest.fixture(scope="module")
+def two_client_trace(tmp_path_factory):
+    """Two clients' cold submits on one traced service: (responses, records)."""
+    tmp_path = tmp_path_factory.mktemp("two-client-trace")
     service = make_service(tmp_path, jobs=2)
     results = {}
 
@@ -143,20 +146,31 @@ def test_concurrent_clients_trace_complete_span_chains(tmp_path):
             thread.start()
         for thread in threads:
             thread.join()
+    return results, read_trace(str(tmp_path / "trace.jsonl"))
 
+
+def test_concurrent_clients_trace_complete_span_chains(two_client_trace):
+    results, records = two_client_trace
     for client, goal in (("alice", "prop_01"), ("bob", "prop_22")):
         done = done_line(results[client])
         assert done["op"] == "done" and done["trace"]
 
-    records = read_trace(str(tmp_path / "trace.jsonl"))
     by_span = {r["span"]: r for r in records if r["kind"] == "span"}
     # For every cold goal: the full chain with one consistent trace id.
     solves = [r for r in records if r["name"] == "worker-solve"]
     assert len(solves) == 2
     for solve in solves:
         dispatch = by_span[solve["parent"]]
-        queue = by_span[dispatch["parent"]]
-        request = by_span[queue["parent"]]
+        request = by_span[dispatch["parent"]]
+        # queue is dispatch's sibling under the request: the wait that ends
+        # where dispatch begins.
+        queue = next(
+            r
+            for r in records
+            if r["name"] == "queue"
+            and r["parent"] == request["span"]
+            and r["attrs"]["goal"] == dispatch["attrs"]["goal"]
+        )
         verdict = next(
             r
             for r in records
@@ -165,8 +179,8 @@ def test_concurrent_clients_trace_complete_span_chains(tmp_path):
             and r["attrs"]["goal"] in solve["attrs"]["goal"]
         )
         assert dispatch["name"] == "pool-dispatch"
-        assert queue["name"] == "queue"
         assert request["name"] == "request"
+        assert queue["end"] == dispatch["start"]
         assert verdict["parent"] == request["span"]
         assert (
             {solve["trace"], dispatch["trace"], queue["trace"], request["trace"]}
@@ -186,6 +200,20 @@ def test_concurrent_clients_trace_complete_span_chains(tmp_path):
     assert {e["ph"] for e in payload["traceEvents"]} <= {"X", "i", "M"}
     complete = [e for e in payload["traceEvents"] if e["ph"] == "X"]
     assert all("dur" in e and e["ts"] >= 0 for e in complete)
+
+
+def test_every_span_lies_inside_its_parent(two_client_trace):
+    """Self time is a span minus its direct children, so a child that runs
+    outside its parent is counted twice (once in each)."""
+    _, records = two_client_trace
+    spans = {r["span"]: r for r in records if r["kind"] == "span"}
+    children = [r for r in spans.values() if r["parent"]]
+    assert children
+    for child in children:
+        parent = spans[child["parent"]]
+        assert parent["start"] <= child["start"] <= child["end"] <= parent["end"], (
+            child["name"], parent["name"]
+        )
 
 
 def test_verdict_lines_attribute_queue_wait_separately(tmp_path):

@@ -53,9 +53,6 @@ def _sample_record() -> SolveRecord:
         certificate_seconds=0.002,
         counterexample={"goal": "prop_01", "bindings": {"n": "Z"}},
         falsify_seconds=0.003,
-        compile_seconds=0.004,
-        compiled_steps=30,
-        fallback_steps=2,
         hot_symbols={"add": 9, "app": 4},
         hints_offered=2,
         hint_steps=1,
@@ -115,11 +112,22 @@ class TestCodec:
         assert len(OUTCOME_FIELDS) == len(set(OUTCOME_FIELDS))
         assert set(OUTCOME_FIELDS) == codec - NOT_PERSISTED
 
+    def test_retired_compile_counters_read_zero_and_stay_off_the_wire(self):
+        retired = ("compile_seconds", "compiled_steps", "fallback_steps")
+        record = _sample_record()
+        assert [getattr(record, name) for name in retired] == [0.0, 0, 0]
+        assert not set(retired) & {spec.name for spec in fields(SolveRecord)}
+        assert not set(retired) & set(OUTCOME_FIELDS)
+        assert not set(retired) & set(record.to_wire())
+        assert not set(retired) & set(asdict(record))
+        with pytest.raises(AttributeError):
+            record.compiled_steps = 3
+
 
 class TestAttempt:
     def test_serial_records_keep_every_hot_symbol(self):
         problem = next(p for p in isaplanner_problems() if p.name == "prop_74")
-        config = ProverConfig(timeout=None, max_nodes=100, compile_rules=True)
+        config = ProverConfig(timeout=None, max_nodes=100)
         record = run_suite([problem], config).records[0]
         statistics = Prover(problem.program, config).prove(problem.goal.equation).statistics
         assert record.hot_symbols == statistics.rewrite_head_counts
@@ -143,19 +151,17 @@ def parent_store(tmp_path):
 
 class TestParentStore:
     def test_replays_into_identical_records(self, parent_store):
-        # compile_rules is spelled out: the lines were written under the
-        # default, and REPRO_NO_COMPILE_RULES would change the config key.
         isa = {p.name: p for p in isaplanner_problems()}
         runs = [
             (
                 [isa[n] for n in ("prop_01", "prop_05", "prop_06", "prop_54", "prop_20")],
-                ProverConfig(timeout=2.0, emit_proofs=True, compile_rules=True),
+                ProverConfig(timeout=2.0, emit_proofs=True),
                 {"prop_54": ["add a b === add b a"]},
                 "repro.benchmarks_data.registry:isaplanner_problems",
             ),
             (
                 false_conjectures_problems()[:3],
-                ProverConfig(timeout=2.0, falsify_first=True, compile_rules=True),
+                ProverConfig(timeout=2.0, falsify_first=True),
                 None,
                 "repro.benchmarks_data.registry:false_conjectures_problems",
             ),
